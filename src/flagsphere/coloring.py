@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, f_vector, is_flag, verify_closed_3_manifold
+from .complexes import SimplicialComplex, is_flag, verify_closed_3_manifold
+# not called here; imported so perfbench/run.py can trace this call site
+from .complexes import f_vector  # noqa: F401
 from .errors import (
     BadDimension,
     CertificationFailed,
@@ -38,6 +40,8 @@ from .graphs import (
 )
 
 DEFAULT_X = math.sqrt(5.0)
+# explored-node cap of the exact 4-coloring of one peeled neighborhood
+EXACT4_NODE_BUDGET = 500_000
 
 
 def cd_constant(d: int) -> float:
@@ -72,7 +76,6 @@ class PeelParams:
     exact4_cap: int = 64
     allow_fallback: bool = True
     debug: bool = False
-    exact4_node_budget: int = 500_000
 
     def __post_init__(self):
         if self.x <= 0:
@@ -177,7 +180,7 @@ def _color_planar_patch(g: Graph, params: PeelParams) -> Coloring:
         return greedy_degeneracy_color(g)
     if params.planar_strategy == "exact4" and g.n <= params.exact4_cap:
         try:
-            found = _k_colorable(g, 4, _Budget(params.exact4_node_budget))
+            found = _k_colorable(g, 4, _Budget(EXACT4_NODE_BUDGET))
         except SolverTimeout:
             found = None
         if found is not None:
@@ -208,6 +211,12 @@ def peel_color_3(X: SimplicialComplex, params: PeelParams | None = None) -> Colo
         raise NotFlag("peel coloring requires a flag complex")
     if not verify_closed_3_manifold(X).passed:
         raise NotManifold("peel coloring requires a closed 3-manifold")
+    return peel_color_unchecked(X, params)
+
+
+def peel_color_unchecked(X: SimplicialComplex, params: PeelParams) -> Coloring:
+    """The peel coloring of :func:`peel_color_3` for a complex the caller has
+    already checked to be a flag closed 3-manifold."""
     n = X.vertex_count
     threshold = params.x * math.sqrt(n)
     live: dict[int, set[int]] = {v: set(X.neighbors(v)) for v in X.vertices}
@@ -351,9 +360,8 @@ def measure_alpha(
             exact = len(max_independent_set_exact(g, node_budget=node_budget))
         except SolverTimeout:
             exact = None
-    f0 = f_vector(X).counts[0]
     return AlphaReport(
         greedy_size=len(greedy),
         exact_size=exact,
-        conjecture_value=math.ceil((f0 + 1) / 6),
+        conjecture_value=math.ceil((X.vertex_count + 1) / 6),
     )

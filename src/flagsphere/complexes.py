@@ -22,6 +22,7 @@ from .errors import (
     UnknownVertex,
     WrongDimension,
 )
+from .graphs import cliques
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,6 @@ class SimplicialComplex:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in self._vertices for v in sorted(self._adj[u]) if u < v]
-
-    def tag_of(self, v: int) -> VertexTag:
-        return self.tags[v]
 
     def is_original(self, v: int) -> bool:
         return isinstance(self.tags[v], OriginalTag)
@@ -260,9 +258,8 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[frozenset[int]]
     """All inclusion-minimal non-faces with at most max_size vertices.
 
     Size-2 entries are the non-edges. A minimal non-face of size k >= 3 is a
-    clique of the adjacency graph all of whose (k-1)-subsets are faces, so
-    candidates are grown from (k-1)-faces by one common neighbor instead of
-    enumerating all k-subsets.
+    clique of the adjacency graph that is not a face but all of whose
+    (k-1)-subsets are.
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2")
@@ -273,62 +270,38 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[frozenset[int]]
         for v in verts[i + 1 :]:
             if v not in adj[u]:
                 result.add(frozenset((u, v)))
-    if max_size == 2:
-        return result
     faces = _faces_by_size(X, min(max_size, X.dimension + 1))
-    top = X.dimension + 1
-    for k in range(3, max_size + 1):
-        base = faces.get(k - 1, set())
-        k_faces = faces.get(k, set()) if k <= top else set()
-        seen: set[frozenset[int]] = set()
-        for face in base:
-            common: set[int] | None = None
-            for t in face:
-                common = adj[t] if common is None else common & adj[t]
-                if not common:
-                    break
-            if not common:
-                continue
-            for w in common - face:
-                cand = face | {w}
-                if cand in seen or cand in k_faces:
-                    continue
-                seen.add(cand)
-                if all(cand - {x} in base for x in cand):
-                    result.add(cand)
+    for clique in cliques(adj, max_size):
+        if len(clique) < 3:
+            continue
+        cand = frozenset(clique)
+        base = faces.get(len(cand) - 1, ())
+        if cand not in faces.get(len(cand), ()) and all(cand - {x} in base for x in cand):
+            result.add(cand)
     return result
 
 
-def minimal_nonfaces_bruteforce(X: SimplicialComplex, max_size: int) -> set[frozenset[int]]:
-    """Oracle: test every vertex subset up to max_size. Small complexes only."""
-    faces = _faces_by_size(X, max_size)
-    top = X.dimension + 1
-
-    def face_q(s: frozenset[int]) -> bool:
-        return len(s) <= top and s in faces[len(s)]
-
-    out: set[frozenset[int]] = set()
-    verts = X.vertices
-    for k in range(2, max_size + 1):
-        for comb in itertools.combinations(verts, k):
-            s = frozenset(comb)
-            if face_q(s):
-                continue
-            if all(face_q(s - {x}) for x in s):
-                out.add(s)
-    return out
+def empty_triangles_of(X: SimplicialComplex) -> set[frozenset[int]]:
+    """The size-3 minimal non-faces: 3-cliques of the 1-skeleton that are not 2-faces."""
+    two_faces = {frozenset(t) for facet in X.facets for t in itertools.combinations(facet, 3)}
+    return {frozenset(c) for c in cliques(X._adj, 3) if len(c) == 3} - two_faces
 
 
 def is_flag(X: SimplicialComplex) -> bool:
-    """True iff every minimal non-face has size 2 (all cliques are faces).
+    """True iff every clique of the 1-skeleton is a face.
 
-    Minimal non-faces of a d-complex have at most d+2 vertices, so checking
-    up to that size is complete.
+    Every face is a clique, so X is flag exactly when it has as many
+    k-cliques as k-faces for each k <= dim+1 and no (dim+2)-clique.
     """
     if X.is_empty:
         return True
-    mnf = minimal_nonfaces(X, X.dimension + 2)
-    return all(len(f) == 2 for f in mnf)
+    top = X.dimension + 1
+    counts = [0] * (top + 1)
+    for clique in cliques(X._adj, top + 1):
+        if len(clique) > top:
+            return False
+        counts[len(clique)] += 1
+    return tuple(counts[1:]) == f_vector(X).counts
 
 
 def subdivide_edge(X: SimplicialComplex, edge) -> tuple[SimplicialComplex, int]:
@@ -406,15 +379,29 @@ def _connected(vertices, adj) -> bool:
     return len(seen) == len(verts)
 
 
+def _facet_incidence(
+    X: SimplicialComplex,
+) -> tuple[dict[frozenset[int], int], dict[int, frozenset[frozenset[int]]]]:
+    """One pass over the facets: how many facets contain each ridge, and each
+    vertex's star as its facet residues (the facets of its link).
+
+    The residues facet - {v} are exactly the ridges of the facet.
+    """
+    ridge_count: dict[frozenset[int], int] = {}
+    star: dict[int, list[frozenset[int]]] = {v: [] for v in X.vertices}
+    for facet in X.facets:
+        for v in facet:
+            residue = facet - {v}
+            ridge_count[residue] = ridge_count.get(residue, 0) + 1
+            star[v].append(residue)
+    return ridge_count, {v: frozenset(residues) for v, residues in star.items()}
+
+
 def _link_is_2_sphere(lk: SimplicialComplex) -> bool:
     """Combinatorial check: closed connected surface with euler 2."""
     if lk.is_empty or lk.dimension != 2:
         return False
-    ridge_count: dict[frozenset[int], int] = {}
-    for facet in lk.facets:
-        for pair in itertools.combinations(sorted(facet), 2):
-            key = frozenset(pair)
-            ridge_count[key] = ridge_count.get(key, 0) + 1
+    ridge_count, _ = _facet_incidence(lk)
     if any(c != 2 for c in ridge_count.values()):
         return False
     if not _connected(lk.vertices, lk._adj):
@@ -432,16 +419,11 @@ def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
     """
     if X.dimension != 3:
         raise WrongDimension(f"expected a pure 3-complex, got dimension {X.dimension}")
-    triangle_count: dict[frozenset[int], int] = {}
-    for facet in X.facets:
-        for tri in itertools.combinations(sorted(facet), 3):
-            key = frozenset(tri)
-            triangle_count[key] = triangle_count.get(key, 0) + 1
+    triangle_count, star = _facet_incidence(X)
     two_faces_ok = all(c == 2 for c in triangle_count.values())
     connected = _connected(X.vertices, X._adj)
     links_ok = True
-    for v in X.vertices:
-        residues = frozenset(facet - {v} for facet in X.facets if v in facet)
+    for residues in star.values():
         lk = SimplicialComplex(residues, {u: X.tags[u] for r in residues for u in r})
         if not _link_is_2_sphere(lk):
             links_ok = False

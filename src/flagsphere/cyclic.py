@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import OriginalTag, SimplicialComplex, build_from_facets, minimal_nonfaces
+from .complexes import OriginalTag, SimplicialComplex, build_from_facets, empty_triangles_of
 from .errors import TooSmall
 
 
@@ -44,7 +44,7 @@ def cyclic_4_sphere(n: int) -> CyclicSphere:
 
 def empty_triangles(sphere: CyclicSphere) -> set[frozenset[int]]:
     """The size-3 minimal non-faces: independent 3-sets of the n-cycle."""
-    return {f for f in minimal_nonfaces(sphere.complex, 3) if len(f) == 3}
+    return empty_triangles_of(sphere.complex)
 
 
 def empty_triangle_count_closed_form(n: int) -> int:

@@ -26,7 +26,7 @@ from .complexes import (
     SimplicialComplex,
     SubdivisionTrace,
     edge_link_structure,
-    minimal_nonfaces,
+    empty_triangles_of,
     subdivide_edge,
 )
 from .cyclic import cyclic_4_sphere, empty_triangles
@@ -241,7 +241,7 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
 def audit_state(state: FlagifyState) -> bool:
     """Recompute the size-3 minimal non-faces and cross-check the index,
     the all-original invariant, and survival of every embedded edge."""
-    fresh = {f for f in minimal_nonfaces(state.complex, 3) if len(f) == 3}
+    fresh = empty_triangles_of(state.complex)
     indexed = set(state.all_original) | set(state.with_subdivision)
     if fresh != indexed:
         return False

@@ -110,14 +110,26 @@ def is_triangle_free(g: Graph) -> bool:
     return all(not (g.neighbors(u) & g.neighbors(v)) for u, v in g.edges)
 
 
-def triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """All 3-cliques, each listed once in sorted order."""
-    out = []
-    for u, v in sorted(g.edges):
-        for w in sorted(g.neighbors(u) & g.neighbors(v)):
-            if w > v:
-                out.append((u, v, w))
-    return out
+def cliques(adj, max_size: int):
+    """Yield every clique of 1..max_size vertices once, as a sorted tuple.
+
+    `adj` maps each vertex to its neighbor set. A clique is extended only by
+    vertices larger than its last one, and the common larger neighborhood is
+    passed down, so the search never revisits a clique (Chiba & Nishizeki,
+    SIAM J. Comput. 1985).
+    """
+    for v in sorted(adj):
+        yield (v,)
+        stack = [((v,), {u for u in adj[v] if u > v})] if max_size > 1 else []
+        while stack:
+            clique, cand = stack.pop()
+            for w in sorted(cand):
+                grown = clique + (w,)
+                yield grown
+                if len(grown) < max_size:
+                    common = {u for u in cand & adj[w] if u > w}
+                    if common:
+                        stack.append((grown, common))
 
 
 def mycielskian(g: Graph) -> Graph:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidAlpha, SolverTimeout
-from .graphs import Graph, greedy_independent_set, max_independent_set_exact
+from .graphs import Graph, cliques, greedy_independent_set, max_independent_set_exact
 
 
 @dataclass(frozen=True)
@@ -45,42 +45,16 @@ class TruncatedCliqueComplex:
     def __init__(self, graph: Graph, d: int):
         self.graph = graph
         self.d = d
-        self.faces_by_size: dict[int, set[frozenset[int]]] = _enumerate_cliques(
-            graph, d + 1
-        )
+        self.faces_by_size: dict[int, set[frozenset[int]]] = {1: set(), 2: set()}
+        adj = {v: graph.neighbors(v) for v in range(graph.n)}
+        for clique in cliques(adj, d + 1):
+            self.faces_by_size.setdefault(len(clique), set()).add(frozenset(clique))
 
     def faces(self, size: int) -> set[frozenset[int]]:
         return self.faces_by_size.get(size, set())
 
     def face_counts(self) -> dict[int, int]:
         return {k: len(v) for k, v in sorted(self.faces_by_size.items())}
-
-
-def _enumerate_cliques(g: Graph, max_size: int) -> dict[int, set[frozenset[int]]]:
-    """All cliques with up to max_size vertices, grown by largest-id extension."""
-    out: dict[int, set[frozenset[int]]] = {}
-    out[1] = {frozenset((v,)) for v in range(g.n)}
-    if max_size < 2:
-        return out
-    current: list[tuple[int, ...]] = [tuple(sorted(e)) for e in g.edges]
-    out[2] = {frozenset(c) for c in current}
-    size = 2
-    while size < max_size and current:
-        nxt: list[tuple[int, ...]] = []
-        for clique in current:
-            common: set[int] | None = None
-            for v in clique:
-                nb = g.neighbors(v)
-                common = set(nb) if common is None else common & nb
-            top = clique[-1]
-            for w in sorted(common or ()):
-                if w > top:
-                    nxt.append(clique + (w,))
-        size += 1
-        current = nxt
-        if current:
-            out[size] = {frozenset(c) for c in current}
-    return out
 
 
 def sample_gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:

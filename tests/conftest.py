@@ -27,6 +27,20 @@ def octahedron_boundary():
     )
 
 
+def capped_triangle_sphere():
+    """A non-flag 2-sphere without a 4-clique: two triangulated disks glued
+    along the cycle 0-1-2, which leaves {0, 1, 2} an empty triangle.
+
+    No vertex is adjacent to all of 0, 1, 2, so clique sizes alone do not
+    show that it is not flag.
+    """
+
+    def disk(d, e, f):
+        return [(0, 1, e), (0, e, d), (1, 2, f), (1, f, e), (2, 0, d), (2, d, f), (d, e, f)]
+
+    return build_from_facets(disk(3, 4, 5) + disk(6, 7, 8))
+
+
 def sixteen_cell():
     """Join of two 4-cycles: the flag 3-sphere on 8 vertices."""
     square1 = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -44,6 +58,26 @@ def icosahedron_graph():
         (6, 11), (7, 11), (8, 11), (9, 11), (10, 11),
     ]
     return Graph(12, edges)
+
+
+def minimal_nonfaces_bruteforce(X, max_size: int) -> set[frozenset[int]]:
+    """Oracle for minimal_nonfaces: test every vertex subset up to max_size.
+
+    Small complexes only.
+    """
+    faces = {
+        frozenset(sub)
+        for facet in X.facets
+        for k in range(1, len(facet) + 1)
+        for sub in itertools.combinations(facet, k)
+    }
+    out: set[frozenset[int]] = set()
+    for k in range(2, max_size + 1):
+        for comb in itertools.combinations(X.vertices, k):
+            s = frozenset(comb)
+            if s not in faces and all(s - {x} in faces for x in s):
+                out.add(s)
+    return out
 
 
 def brute_chromatic(g: Graph, k_max: int | None = None) -> int:

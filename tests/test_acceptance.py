@@ -36,7 +36,6 @@ from flagsphere import (
 )
 from flagsphere.cli import main as cli_main
 from flagsphere.coloring import check_proper_on_complex, peel_color_bound
-from flagsphere.complexes import minimal_nonfaces_bruteforce
 from flagsphere.cyclic import empty_triangle_count_closed_form
 from flagsphere.errors import PlanarStrategyFailure
 from flagsphere.io import write_graph
@@ -46,6 +45,7 @@ from conftest import (
     brute_chromatic,
     brute_k_colorable,
     expected_forest_fraction,
+    minimal_nonfaces_bruteforce,
 )
 
 

@@ -19,7 +19,6 @@ from flagsphere import (
     subdivide_edge,
     verify_closed_3_manifold,
 )
-from flagsphere.complexes import minimal_nonfaces_bruteforce
 from flagsphere.errors import (
     DominatedFacet,
     EmptyInput,
@@ -30,7 +29,13 @@ from flagsphere.errors import (
     WrongDimension,
 )
 
-from conftest import octahedron_boundary, simplex_boundary, triangle_boundary
+from conftest import (
+    capped_triangle_sphere,
+    minimal_nonfaces_bruteforce,
+    octahedron_boundary,
+    simplex_boundary,
+    triangle_boundary,
+)
 
 
 class TestBuild:
@@ -129,7 +134,12 @@ class TestMinimalNonfaces:
         assert minimal_nonfaces(X, 5) == minimal_nonfaces_bruteforce(X, 5)
 
     def test_agrees_with_bruteforce_small_corpus(self):
-        for X in (simplex_boundary(), triangle_boundary(), octahedron_boundary()):
+        for X in (
+            simplex_boundary(),
+            triangle_boundary(),
+            octahedron_boundary(),
+            capped_triangle_sphere(),
+        ):
             assert minimal_nonfaces(X, 5) == minimal_nonfaces_bruteforce(X, 5)
 
 
@@ -149,6 +159,7 @@ class TestIsFlag:
             triangle_boundary(),
             octahedron_boundary(),
             simplex_boundary(),
+            capped_triangle_sphere(),
             cyclic_4_sphere(7).complex,
         ):
             mnf = minimal_nonfaces(X, X.dimension + 2)

@@ -5,9 +5,10 @@ import itertools
 import pytest
 
 from flagsphere import cyclic_4_sphere, empty_triangles, minimal_nonfaces, verify_closed_3_manifold
-from flagsphere.complexes import minimal_nonfaces_bruteforce
 from flagsphere.cyclic import empty_triangle_count_closed_form
 from flagsphere.errors import TooSmall
+
+from conftest import minimal_nonfaces_bruteforce
 
 
 def test_too_small():

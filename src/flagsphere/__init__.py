@@ -6,6 +6,7 @@ clique-complex experiments.
 """
 
 from .complexes import (
+    ComplexBuilder,
     FVector,
     OriginalTag,
     SimplicialComplex,

@@ -3,8 +3,9 @@
 The central object is :class:`SimplicialComplex`: an antichain of equal-size
 facets over integer vertex ids, with a derived vertex adjacency cache and a
 provenance tag per vertex (original position vs. edge-subdivision vertex).
-Complexes are immutable after construction; every operation returning a
-complex builds a new one (neighbor sets may be shared copy-on-write).
+Complexes are immutable after construction. Long runs of edge subdivisions
+go through :class:`ComplexBuilder`, a mutable copy with a vertex -> facets
+star index, which is frozen into a new complex once at the end.
 """
 
 from __future__ import annotations
@@ -170,6 +171,99 @@ def _derive_adjacency(facets: frozenset[frozenset[int]]) -> dict[int, set[int]]:
     return adj
 
 
+def _derive_star(facets) -> dict[int, set[frozenset[int]]]:
+    star: dict[int, set[frozenset[int]]] = {}
+    for facet in facets:
+        for v in facet:
+            star.setdefault(v, set()).add(facet)
+    return star
+
+
+class ComplexBuilder:
+    """Mutable copy of a complex for long runs of edge subdivisions.
+
+    It holds the facet set, each vertex's star (the facets containing it),
+    the adjacency sets, the tags, the next free vertex id and the count of
+    subdivision steps. subdivide() costs O(size of the edge's star), where
+    subdivide_edge() copies the whole complex; freeze() returns an
+    immutable SimplicialComplex and leaves the builder usable.
+    """
+
+    __slots__ = ("facets", "star", "adj", "tags", "next_id", "steps")
+
+    def __init__(self, X: SimplicialComplex):
+        self.facets = set(X.facets)
+        self.star = _derive_star(X.facets)
+        self.adj = {v: set(nbrs) for v, nbrs in X._adj.items()}
+        self.tags = dict(X.tags)
+        self.next_id = max(X.tags) + 1 if X.tags else 0
+        self.steps = X.subdivision_vertex_count()
+
+    def is_original(self, v: int) -> bool:
+        return isinstance(self.tags[v], OriginalTag)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u in self.adj and v in self.adj[u]
+
+    def edge_link_structure(self, edge) -> tuple[set[int], set[frozenset[int]]]:
+        """Vertices and edges of the link of an edge (facet residues), read
+        from the smaller star of its two endpoints."""
+        e = frozenset(edge)
+        if len(e) != 2:
+            raise NotAnEdge(f"{sorted(e)} is not a vertex pair")
+        u, v = e
+        smaller = min(self.star.get(u, ()), self.star.get(v, ()), key=len)
+        residues = {facet - e for facet in smaller if e <= facet}
+        if not residues:
+            raise NotAnEdge(f"{sorted(e)} is not an edge")
+        return set().union(*residues), residues
+
+    def subdivide(self, edge) -> int:
+        """Subdivide an edge in place (see subdivide_edge); returns the new vertex."""
+        e = frozenset(edge)
+        if len(e) != 2:
+            raise NotAnEdge(f"{sorted(e)} is not a vertex pair")
+        u, v = sorted(e)
+        adj, star = self.adj, self.star
+        if u not in adj or v not in adj[u]:
+            raise NotAnEdge(f"({u}, {v}) is not an edge")
+        w = self.next_id
+        self.next_id += 1
+        self.steps += 1
+        self.tags[w] = SubdivisionTag(parent_edge=(u, v), step=self.steps)
+        star[w] = set()
+        link_verts: set[int] = set()
+        for facet in [f for f in star[u] if v in f]:
+            rest = facet - e
+            self.facets.remove(facet)
+            for x in facet:
+                star[x].remove(facet)
+            for half in (rest | {u, w}, rest | {v, w}):
+                self.facets.add(half)
+                for x in half:
+                    star[x].add(half)
+            link_verts |= rest
+        adj[u].remove(v)
+        adj[v].remove(u)
+        adj[w] = {u, v} | link_verts
+        for x in adj[w]:
+            adj[x].add(w)
+        return w
+
+    def indexes_consistent(self) -> bool:
+        """True iff the star and the adjacency equal a recomputation from the facets."""
+        facets = frozenset(self.facets)
+        return self.star == _derive_star(facets) and self.adj == _derive_adjacency(facets)
+
+    def freeze(self) -> SimplicialComplex:
+        """An immutable copy of the current complex."""
+        return SimplicialComplex(
+            frozenset(self.facets),
+            dict(self.tags),
+            {v: set(nbrs) for v, nbrs in self.adj.items()},
+        )
+
+
 def build_from_facets(
     facets, tags: dict[int, VertexTag] | None = None
 ) -> SimplicialComplex:
@@ -309,59 +403,30 @@ def subdivide_edge(X: SimplicialComplex, edge) -> tuple[SimplicialComplex, int]:
 
     The new vertex w gets the next free id and a SubdivisionTag. Facets not
     containing the edge are unchanged; {u,v} is a non-face of the result.
+    Costs a copy of X; chains of subdivisions should use one ComplexBuilder.
     """
-    e = frozenset(edge)
-    if len(e) != 2:
-        raise NotAnEdge(f"{sorted(e)} is not a vertex pair")
-    u, v = sorted(e)
-    if u not in X._adj or v not in X._adj[u]:
-        raise NotAnEdge(f"({u}, {v}) is not an edge")
-    w = max(X.tags) + 1
-    step = X.subdivision_vertex_count() + 1
-    replaced = [facet for facet in X.facets if e <= facet]
-    new_facets = set(X.facets)
-    for facet in replaced:
-        rest = facet - e
-        new_facets.discard(facet)
-        new_facets.add(rest | {u, w})
-        new_facets.add(rest | {v, w})
-    tags = dict(X.tags)
-    tags[w] = SubdivisionTag(parent_edge=(u, v), step=step)
-    # copy-on-write adjacency: replace only the touched neighbor sets
-    adj = dict(X._adj)
-    adj[u] = (adj[u] - {v}) | {w}
-    adj[v] = (adj[v] - {u}) | {w}
-    link_verts = set()
-    for facet in replaced:
-        link_verts |= facet - e
-    for x in link_verts:
-        adj[x] = adj[x] | {w}
-    adj[w] = {u, v} | link_verts
-    return SimplicialComplex(frozenset(new_facets), tags, adj), w
-
-
-def edge_link_structure(
-    X: SimplicialComplex, edge
-) -> tuple[set[int], set[frozenset[int]]]:
-    """Vertices and edges of the link of an edge (facet residues)."""
-    e = frozenset(edge)
-    residues = [facet - e for facet in X.facets if e <= facet]
-    if not residues:
-        raise NotAnEdge(f"{sorted(e)} is not an edge")
-    verts: set[int] = set()
-    for r in residues:
-        verts |= r
-    return verts, set(residues)
+    builder = ComplexBuilder(X)
+    w = builder.subdivide(edge)
+    return builder.freeze(), w
 
 
 def f_vector(X: SimplicialComplex) -> FVector:
-    """Exact face counts per dimension by enumerating facet subsets."""
+    """Exact face counts per dimension.
+
+    Vertices and edges are counted from the adjacency and the top faces are
+    the facets; only the face sizes 3..dim are enumerated from facet subsets.
+    """
     if X.is_empty:
         return FVector(counts=(), euler=0)
-    faces = _faces_by_size(X, X.dimension + 1)
-    counts = tuple(len(faces[k]) for k in range(1, X.dimension + 2))
+    top = X.dimension + 1
+    counts = [X.vertex_count, sum(len(nbrs) for nbrs in X._adj.values()) // 2][: top - 1]
+    for k in range(3, top):
+        counts.append(
+            len({sub for facet in X.facets for sub in itertools.combinations(sorted(facet), k)})
+        )
+    counts.append(X.facet_count)
     euler = sum((-1) ** i * c for i, c in enumerate(counts))
-    return FVector(counts=counts, euler=euler)
+    return FVector(counts=tuple(counts), euler=euler)
 
 
 def _connected(vertices, adj) -> bool:
@@ -448,11 +513,11 @@ class SubdivisionTrace:
 
 
 def replay(initial: SimplicialComplex, trace: SubdivisionTrace) -> SimplicialComplex:
-    """Re-apply a trace; the assigned ids must match the recorded ones."""
-    X = initial
+    """Re-apply a trace on one builder; the assigned ids must match the recorded ones."""
+    builder = ComplexBuilder(initial)
     for u, v, w in trace.events:
-        X, got = subdivide_edge(X, (u, v))
+        got = builder.subdivide((u, v))
         if got != w:
             # id mismatch means the trace belongs to a different base complex
             raise InvariantViolation(f"replay assigned vertex {got}, trace expected {w}")
-    return X
+    return builder.freeze()

@@ -12,6 +12,17 @@ the complex, but are not joined by a link edge; the index is maintained
 incrementally from that local rule and can be audited against a full
 recomputation.
 
+Index design. One FlagifyState is advanced in place for the whole run:
+  * the complex is a ComplexBuilder, whose vertex -> facets star answers
+    each link query and each subdivision in time proportional to the star;
+  * the all-original empty triangles are a set of sorted tuples. That set
+    only ever shrinks: every triangle a subdivision creates contains the
+    fresh vertex, which is not original. So the initial triangles are
+    sorted once, and a cursor that skips dead entries always points at the
+    lexicographically smallest live one, the next round's target;
+  * subdividing an edge {u, v} of two originals kills exactly the live
+    triangles {u, v, x}, which are found by probing each original x.
+
 A round performs at most four subdivisions and a run needs at most
 4*C(n,2) in total; hard guards (4 per round, 5*C(n,2) overall) raise
 InvariantViolation with the recent event trail instead of looping.
@@ -22,33 +33,52 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import (
-    SimplicialComplex,
-    SubdivisionTrace,
-    edge_link_structure,
-    empty_triangles_of,
-    subdivide_edge,
-)
+from .complexes import ComplexBuilder, SimplicialComplex, SubdivisionTrace, empty_triangles_of
 from .cyclic import cyclic_4_sphere, empty_triangles
 from .errors import InvariantViolation, NotTriangleFree, TooFewPolytopeVertices
 from .graphs import Graph, is_triangle_free
 
+# the builder's in-place primitives under the names perfbench/run.py traces:
+# subdivide_edge(builder, edge) -> fresh vertex, and
+# edge_link_structure(builder, edge) -> (link vertices, link edges)
+subdivide_edge = ComplexBuilder.subdivide
+edge_link_structure = ComplexBuilder.edge_link_structure
 
-@dataclass(frozen=True)
+Triangle = tuple[int, int, int]
+
+
 class FlagifyState:
-    """Snapshot between rounds; complexes and index sets are never mutated."""
+    """A flagify run between rounds; eliminate_round advances it in place.
 
-    complex: SimplicialComplex
-    embedded: Graph
-    events: tuple[tuple[int, int, int], ...]
-    all_original: frozenset[frozenset[int]]
-    with_subdivision: frozenset[frozenset[int]]
-    rounds: int
-    base_n: int
+    `all_original` holds the live all-original empty triangles as sorted
+    tuples, `order` the initial ones in lexicographic order and `cursor`
+    the position before which every entry of `order` is dead.
+    `with_subdivision` holds the empty triangles through a fresh vertex; it
+    is empty between rounds. After an InvariantViolation the state is not
+    usable.
+    """
+
+    __slots__ = (
+        "builder", "embedded", "events", "all_original", "order", "cursor",
+        "with_subdivision", "rounds", "base_n",
+    )
+
+    def __init__(
+        self, builder: ComplexBuilder, embedded: Graph, triangles: set[Triangle], base_n: int
+    ):
+        self.builder = builder
+        self.embedded = embedded
+        self.events: list[tuple[int, int, int]] = []
+        self.all_original = triangles
+        self.order = sorted(triangles)
+        self.cursor = 0
+        self.with_subdivision: set[Triangle] = set()
+        self.rounds = 0
+        self.base_n = base_n
 
     @property
     def trace(self) -> SubdivisionTrace:
-        return SubdivisionTrace(events=self.events)
+        return SubdivisionTrace(events=tuple(self.events))
 
     @property
     def subdivision_count(self) -> int:
@@ -91,26 +121,18 @@ def embed(g: Graph, n: int) -> FlagifyState:
     if g.n > n:
         raise TooFewPolytopeVertices(f"graph has {g.n} vertices, polytope only {n}")
     sphere = cyclic_4_sphere(n)
-    index = frozenset(empty_triangles(sphere))
-    return FlagifyState(
-        complex=sphere.complex,
-        embedded=g,
-        events=(),
-        all_original=index,
-        with_subdivision=frozenset(),
-        rounds=0,
-        base_n=n,
-    )
+    triangles = {tuple(sorted(t)) for t in empty_triangles(sphere)}
+    return FlagifyState(ComplexBuilder(sphere.complex), g, triangles, n)
 
 
-def _cascade_pairs(X: SimplicialComplex, edge) -> set[frozenset[int]]:
+def _cascade_pairs(builder: ComplexBuilder, edge) -> set[frozenset[int]]:
     """Pairs on the link cycle of `edge` that would become empty-triangle
     partners of the fresh vertex: adjacent in the complex, not link-adjacent."""
-    verts, link_edges = edge_link_structure(X, edge)
+    verts, link_edges = edge_link_structure(builder, edge)
     pairs: set[frozenset[int]] = set()
     ordered = sorted(verts)
     for i, x in enumerate(ordered):
-        nx = X.neighbors(x)
+        nx = builder.adj[x]
         for y in ordered[i + 1 :]:
             if y not in nx:
                 continue
@@ -124,72 +146,57 @@ def _in_embedded(g: Graph, a: int, b: int) -> bool:
     return a < g.n and b < g.n and g.has_edge(a, b)
 
 
-class _Round:
-    """Working storage for one elimination round."""
+def _trail(state: FlagifyState) -> str:
+    return ", ".join(f"{u}-{v}->{w}" for u, v, w in state.events[-6:])
 
-    def __init__(self, state: FlagifyState):
-        self.state = state
-        self.complex = state.complex
-        self.all_original = set(state.all_original)
-        self.with_subdivision = set(state.with_subdivision)
-        self.events = list(state.events)
-        self.subdivisions_this_round = 0
 
-    def _trail(self) -> str:
-        return ", ".join(f"{u}-{v}->{w}" for u, v, w in self.events[-6:])
-
-    def subdivide(self, edge: tuple[int, int]) -> int:
-        """Subdivide, update the incremental index, and enforce the local laws."""
-        if self.subdivisions_this_round >= 4:
-            raise InvariantViolation(
-                f"repair cascade exceeds 4 subdivisions in one round; trail: {self._trail()}"
-            )
-        born_pairs = _cascade_pairs(self.complex, edge)
-        new_complex, w = subdivide_edge(self.complex, edge)
-        e = frozenset(edge)
-        killed = {t for t in self.all_original if e <= t}
-        killed_sub = {t for t in self.with_subdivision if e <= t}
-        self.all_original -= killed
-        self.with_subdivision -= killed_sub
-        born = {pair | {w} for pair in born_pairs}
-        if len(born) > 2:
-            raise InvariantViolation(
-                f"subdividing {sorted(e)} created {len(born)} empty triangles; "
-                f"trail: {self._trail()}"
-            )
-        for t in born:
-            others = t - {w}
-            if not all(self.complex.is_original(x) for x in others):
-                raise InvariantViolation(
-                    f"new empty triangle {sorted(t)} has a non-original partner; "
-                    f"trail: {self._trail()}"
-                )
-        self.with_subdivision |= born
-        self.complex = new_complex
-        u, v = sorted(e)
-        self.events.append((u, v, w))
-        self.subdivisions_this_round += 1
-        return w
-
-    def finish(self) -> FlagifyState:
-        if self.with_subdivision:
-            raise InvariantViolation(
-                f"round ended with subdivision-vertex empty triangles "
-                f"{sorted(sorted(t) for t in self.with_subdivision)}; trail: {self._trail()}"
-            )
-        return FlagifyState(
-            complex=self.complex,
-            embedded=self.state.embedded,
-            events=tuple(self.events),
-            all_original=frozenset(self.all_original),
-            with_subdivision=frozenset(),
-            rounds=self.state.rounds + 1,
-            base_n=self.state.base_n,
+def _subdivide(state: FlagifyState, edge: tuple[int, int], round_start: int) -> None:
+    """Subdivide, update the triangle indexes, and enforce the local laws."""
+    if len(state.events) - round_start >= 4:
+        raise InvariantViolation(
+            f"repair cascade exceeds 4 subdivisions in one round; trail: {_trail(state)}"
         )
+    builder = state.builder
+    born_pairs = _cascade_pairs(builder, edge)
+    w = subdivide_edge(builder, edge)
+    u, v = sorted(edge)
+    alive = state.all_original
+    if alive and builder.is_original(u) and builder.is_original(v):
+        for x in range(state.base_n):
+            alive.discard((x, u, v) if x < u else (u, x, v) if x < v else (u, v, x))
+    pending = state.with_subdivision
+    for t in [t for t in pending if u in t and v in t]:
+        pending.remove(t)
+    if len(born_pairs) > 2:
+        raise InvariantViolation(
+            f"subdividing {[u, v]} created {len(born_pairs)} empty triangles; "
+            f"trail: {_trail(state)}"
+        )
+    for pair in born_pairs:
+        # w is the largest id so far, so the sorted triangle ends with it
+        x, y = sorted(pair)
+        if not (builder.is_original(x) and builder.is_original(y)):
+            raise InvariantViolation(
+                f"new empty triangle {[x, y, w]} has a non-original partner; "
+                f"trail: {_trail(state)}"
+            )
+        pending.add((x, y, w))
+    state.events.append((u, v, w))
+
+
+def _next_target(state: FlagifyState) -> Triangle:
+    """The lexicographically smallest live all-original empty triangle."""
+    order, alive = state.order, state.all_original
+    i = state.cursor
+    while order[i] not in alive:
+        i += 1
+    state.cursor = i
+    return order[i]
 
 
 def eliminate_round(state: FlagifyState) -> FlagifyState:
-    """Destroy one all-original empty triangle and repair the fallout.
+    """Destroy one all-original empty triangle and repair the fallout, in
+    place; returns the same state.
 
     Selection is deterministic: the lexicographically smallest all-original
     empty triangle, then its lexicographically smallest edge outside the
@@ -201,56 +208,53 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
         raise InvariantViolation("round must start with all empty triangles original")
     if not state.all_original:
         raise InvariantViolation("no empty triangle left to eliminate")
-    work = _Round(state)
     g = state.embedded
+    round_start = len(state.events)
 
-    target = min(state.all_original, key=lambda t: tuple(sorted(t)))
-    a, b, c = sorted(target)
+    target = _next_target(state)
+    a, b, c = target
     primary = next(
         (e for e in ((a, b), (a, c), (b, c)) if not _in_embedded(g, *e)),
         None,
     )
     if primary is None:
         # triangle-free embedded graphs always leave at least one free edge
-        raise InvariantViolation(f"all edges of {sorted(target)} are protected")
-    work.subdivide(primary)
-    if target in work.all_original:
-        raise InvariantViolation(f"primary triangle {sorted(target)} survived")
+        raise InvariantViolation(f"all edges of {list(target)} are protected")
+    _subdivide(state, primary, round_start)
+    if target in state.all_original:
+        raise InvariantViolation(f"primary triangle {list(target)} survived")
 
-    while work.with_subdivision:
-        t = min(work.with_subdivision, key=lambda s: tuple(sorted(s)))
-        subs = [x for x in t if not work.complex.is_original(x)]
-        if len(subs) != 1:
-            raise InvariantViolation(
-                f"indexed triangle {sorted(t)} has {len(subs)} subdivision vertices"
-            )
-        w = subs[0]
-        o1, o2 = sorted(t - {w})
+    while state.with_subdivision:
+        o1, o2, w = min(state.with_subdivision)
         candidates = [(w, o1), (w, o2)]
         if not _in_embedded(g, o1, o2):
             candidates.append((o1, o2))
         chosen = next(
-            (f for f in candidates if not _cascade_pairs(work.complex, f)),
+            (f for f in candidates if not _cascade_pairs(state.builder, f)),
             candidates[0],
         )
-        work.subdivide(chosen)
+        _subdivide(state, chosen, round_start)
 
-    return work.finish()
+    state.rounds += 1
+    return state
 
 
 def audit_state(state: FlagifyState) -> bool:
-    """Recompute the size-3 minimal non-faces and cross-check the index,
-    the all-original invariant, and survival of every embedded edge."""
-    fresh = empty_triangles_of(state.complex)
-    indexed = set(state.all_original) | set(state.with_subdivision)
-    if fresh != indexed:
+    """Cross-check every index against a full recomputation: the builder's
+    star and adjacency against its facets, the triangle set against the
+    size-3 minimal non-faces, the cursor against the triangle set, plus the
+    all-original invariant and survival of every embedded edge."""
+    builder = state.builder
+    if not builder.indexes_consistent() or state.with_subdivision:
         return False
-    if state.with_subdivision:
+    fresh = {tuple(sorted(t)) for t in empty_triangles_of(builder.freeze())}
+    if fresh != state.all_original:
         return False
-    for t in state.all_original:
-        if not all(state.complex.is_original(v) for v in t):
-            return False
-    return all(state.complex.has_edge(u, v) for u, v in state.embedded.edges)
+    if not state.all_original <= set(state.order[state.cursor :]):
+        return False
+    if not all(builder.is_original(v) for t in state.all_original for v in t):
+        return False
+    return all(builder.has_edge(u, v) for u, v in state.embedded.edges)
 
 
 def flagify(
@@ -274,8 +278,9 @@ def flagify(
             )
         if audit and not audit_state(state):
             raise InvariantViolation(f"audit failed after round {state.rounds}")
+    complex_ = state.builder.freeze()
     report = FlagifyReport(
-        final_vertex_count=state.complex.vertex_count,
+        final_vertex_count=complex_.vertex_count,
         subdivision_count=state.subdivision_count,
         round_count=state.rounds,
         bound=vertex_bound(n),
@@ -286,4 +291,4 @@ def flagify(
         raise InvariantViolation(
             f"vertex count {report.final_vertex_count} exceeds bound {report.bound}"
         )
-    return state.complex, report, state.trace
+    return complex_, report, state.trace

@@ -5,10 +5,27 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import pytest
 
-from flagsphere import Graph, build_from_facets, grotzsch_graph, mycielskian
+from flagsphere import (
+    Graph,
+    SimplicialComplex,
+    build_from_facets,
+    cyclic_4_sphere,
+    empty_triangles,
+    grotzsch_graph,
+    mycielskian,
+    subdivide_edge,
+)
+
+
+# (n, seed) of the triangle-free process graphs in the flagify corpus
+PROCESS_CASES = [
+    (6, 1), (8, 2), (10, 3), (12, 4), (14, 5),
+    (15, 6), (16, 7), (17, 8), (18, 9), (20, 10),
+]
 
 
 def simplex_boundary():
@@ -78,6 +95,89 @@ def minimal_nonfaces_bruteforce(X, max_size: int) -> set[frozenset[int]]:
             if s not in faces and all(s - {x} in faces for x in s):
                 out.add(s)
     return out
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    """A snapshot between rounds of the reference flagify; never mutated."""
+
+    complex: SimplicialComplex
+    embedded: Graph
+    events: tuple[tuple[int, int, int], ...]
+    all_original: frozenset[frozenset[int]]
+    rounds: int
+
+
+def edge_link_structure_scan(X, edge) -> tuple[set[int], set[frozenset[int]]]:
+    """Vertices and edges of the link of an edge, by a scan of every facet."""
+    e = frozenset(edge)
+    residues = [facet - e for facet in X.facets if e <= facet]
+    assert residues, f"{sorted(e)} is not an edge"
+    return set().union(*residues), set(residues)
+
+
+def _reference_cascade_pairs(X, edge) -> set[frozenset[int]]:
+    verts, link_edges = edge_link_structure_scan(X, edge)
+    ordered = sorted(verts)
+    return {
+        frozenset((x, y))
+        for i, x in enumerate(ordered)
+        for y in ordered[i + 1 :]
+        if y in X.neighbors(x) and frozenset((x, y)) not in link_edges
+    }
+
+
+def reference_round(state: ReferenceState) -> ReferenceState:
+    """One elimination round of the snapshot kernel that flagify replaced.
+
+    Same rules as flagify.eliminate_round, computed the slow way: the target
+    is a full-scan minimum, killed triangles come from a scan of the whole
+    index, links from a scan of every facet, and each subdivision copies the
+    complex through the functional subdivide_edge.
+    """
+    g = state.embedded
+    X = state.complex
+    all_original = set(state.all_original)
+    pending: set[frozenset[int]] = set()
+    events = list(state.events)
+
+    def protected(a, b):
+        return a < g.n and b < g.n and g.has_edge(a, b)
+
+    def subdivide(edge):
+        nonlocal X
+        assert len(events) - len(state.events) < 4, "more than 4 subdivisions in a round"
+        born_pairs = _reference_cascade_pairs(X, edge)
+        X, w = subdivide_edge(X, edge)
+        e = frozenset(edge)
+        all_original.difference_update({t for t in all_original if e <= t})
+        pending.difference_update({t for t in pending if e <= t})
+        assert len(born_pairs) <= 2 and all(X.is_original(x) for p in born_pairs for x in p)
+        pending.update(pair | {w} for pair in born_pairs)
+        events.append((*sorted(e), w))
+
+    target = min(all_original, key=lambda t: tuple(sorted(t)))
+    a, b, c = sorted(target)
+    subdivide(next(e for e in ((a, b), (a, c), (b, c)) if not protected(*e)))
+    assert target not in all_original
+    while pending:
+        t = min(pending, key=lambda s: tuple(sorted(s)))
+        (w,) = [x for x in t if not X.is_original(x)]
+        o1, o2 = sorted(t - {w})
+        candidates = [(w, o1), (w, o2)] + ([] if protected(o1, o2) else [(o1, o2)])
+        subdivide(next(
+            (f for f in candidates if not _reference_cascade_pairs(X, f)), candidates[0]
+        ))
+    return ReferenceState(X, g, tuple(events), frozenset(all_original), state.rounds + 1)
+
+
+def flagify_reference(g: Graph, n: int) -> ReferenceState:
+    """Oracle for flagify: rounds of reference_round until no empty triangle is left."""
+    sphere = cyclic_4_sphere(n)
+    state = ReferenceState(sphere.complex, g, (), frozenset(empty_triangles(sphere)), 0)
+    while state.all_original:
+        state = reference_round(state)
+    return state
 
 
 def brute_chromatic(g: Graph, k_max: int | None = None) -> int:

@@ -42,6 +42,7 @@ from flagsphere.io import write_graph
 from flagsphere.randomclique import RandomCliqueParams
 
 from conftest import (
+    PROCESS_CASES,
     brute_chromatic,
     brute_k_colorable,
     expected_forest_fraction,
@@ -54,12 +55,6 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {name}: {status}{suffix}")
     return ok
-
-
-PROCESS_CASES = [
-    (6, 1), (8, 2), (10, 3), (12, 4), (14, 5),
-    (15, 6), (16, 7), (17, 8), (18, 9), (20, 10),
-]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Flagification: embedding, rounds, audits, bounds, trace replay."""
 
+import importlib
 import math
 
 import pytest
@@ -22,8 +23,20 @@ from flagsphere.errors import (
     NotTriangleFree,
     TooFewPolytopeVertices,
 )
-from flagsphere.flagify import FlagifyState
 from flagsphere.graphs import triangle_free_process
+
+# the package re-exports the function flagify under the module's name
+flagify_module = importlib.import_module("flagsphere.flagify")
+
+
+def _put_back_a_replaced_facet(state):
+    """Leave a stale entry in a star: a facet the first subdivision u-v -> w
+    replaced goes back into u's star."""
+    u, v, w = state.events[0]
+    star = state.builder.star[u]
+    stale = next(f - {w} | {v} for f in star if w in f)
+    assert stale not in state.builder.facets
+    star.add(stale)
 
 
 class TestEmbed:
@@ -46,7 +59,7 @@ class TestEmbed:
 
     def test_embedded_edges_present(self):
         state = embed(Graph.cycle(5), 7)
-        assert all(state.complex.has_edge(u, v) for u, v in state.embedded.edges)
+        assert all(state.builder.has_edge(u, v) for u, v in state.embedded.edges)
 
 
 class TestEliminateRound:
@@ -63,7 +76,7 @@ class TestEliminateRound:
         while state.all_original:
             count = len(state.all_original)
             subs = state.subdivision_count
-            state = eliminate_round(state)
+            assert eliminate_round(state) is state  # advanced in place
             assert len(state.all_original) < count
             assert 1 <= state.subdivision_count - subs <= 4
             assert not state.with_subdivision
@@ -77,7 +90,7 @@ class TestEliminateRound:
             state = eliminate_round(state)
             u, v, _ = state.events[before_events]  # primary edge of the round
             destroyed.append((u, v))
-            assert all(not state.complex.has_edge(a, b) for a, b in destroyed)
+            assert all(not state.builder.has_edge(a, b) for a, b in destroyed)
 
 
 class TestAudit:
@@ -85,31 +98,45 @@ class TestAudit:
         assert audit_state(embed(Graph.cycle(5), 6))
 
     def test_round_rejects_pending_repairs(self):
-        state = embed(Graph.cycle(5), 6)
-        poisoned = FlagifyState(
-            complex=state.complex,
-            embedded=state.embedded,
-            events=state.events,
-            all_original=state.all_original,
-            with_subdivision=frozenset({frozenset({0, 1, 2})}),
-            rounds=state.rounds,
-            base_n=state.base_n,
-        )
+        poisoned = embed(Graph.cycle(5), 6)
+        poisoned.with_subdivision.add((0, 1, 2))
         with pytest.raises(InvariantViolation):
             eliminate_round(poisoned)
 
     def test_corrupted_index_fails(self):
-        state = embed(Graph.cycle(5), 6)
-        tampered = FlagifyState(
-            complex=state.complex,
-            embedded=state.embedded,
-            events=state.events,
-            all_original=frozenset(list(state.all_original)[:1]),
-            with_subdivision=state.with_subdivision,
-            rounds=state.rounds,
-            base_n=state.base_n,
-        )
+        tampered = embed(Graph.cycle(5), 6)
+        tampered.all_original.pop()
         assert not audit_state(tampered)
+
+    def test_stale_star_entry_fails(self):
+        state = eliminate_round(embed(Graph.cycle(5), 8))
+        assert audit_state(state)
+        _put_back_a_replaced_facet(state)
+        assert not audit_state(state)
+
+    def test_stale_adjacency_fails(self):
+        state = eliminate_round(embed(Graph.cycle(5), 8))
+        u, v, _ = state.events[0]
+        state.builder.adj[u].add(v)
+        assert not audit_state(state)
+
+    def test_cursor_past_a_live_triangle_fails(self):
+        state = embed(Graph.cycle(5), 8)
+        state.cursor += 1
+        assert not audit_state(state)
+
+    def test_corrupted_star_entry_makes_flagify_raise(self, monkeypatch):
+        real_round = flagify_module.eliminate_round
+
+        def corrupting_round(state):
+            state = real_round(state)
+            if state.rounds == 1:
+                _put_back_a_replaced_facet(state)
+            return state
+
+        monkeypatch.setattr(flagify_module, "eliminate_round", corrupting_round)
+        with pytest.raises(InvariantViolation, match="audit failed after round 1"):
+            flagify(Graph.cycle(5), 8, audit=True)
 
 
 class TestFlagify:

@@ -1,4 +1,4 @@
-"""Property tests: the clique-based fast paths against brute-force oracles.
+"""Property tests: the fast paths against brute-force and snapshot oracles.
 
 Examples are derandomized with a fixed count, so every run checks the same
 inputs.
@@ -10,18 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagsphere import (
+    ComplexBuilder,
     Graph,
+    build_from_facets,
     cyclic_4_sphere,
+    f_vector,
     flagify,
     is_flag,
     link,
     minimal_nonfaces,
     subdivide_edge,
+    triangle_free_process,
 )
-from flagsphere.complexes import _facet_incidence, empty_triangles_of
+from flagsphere.complexes import _facet_incidence, _faces_by_size, empty_triangles_of
 from flagsphere.graphs import cliques
 
-from conftest import minimal_nonfaces_bruteforce
+from conftest import flagify_reference, minimal_nonfaces_bruteforce
 
 fixed = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -86,3 +90,57 @@ def test_cliques_match_all_vertex_subsets(adj, max_size):
     }
     assert len(listed) == len(set(listed))
     assert set(listed) == expected
+
+
+@fixed
+@given(st.integers(7, 14), st.integers(0, 10**6))
+def test_flagify_matches_the_snapshot_reference(n, seed):
+    g = triangle_free_process(n, seed)
+    X, report, trace = flagify(g, n)
+    reference = flagify_reference(g, n)
+    assert trace.events == reference.events
+    assert report.round_count == reference.rounds
+    assert X == reference.complex
+
+
+def _indexes_from_facets(facets):
+    star, adj = {}, {}
+    for facet in facets:
+        for v in facet:
+            star.setdefault(v, set()).add(facet)
+            adj.setdefault(v, set()).update(facet - {v})
+    return star, adj
+
+
+@fixed
+@given(subdivided_spheres(), st.lists(st.integers(0, 10**6), max_size=12))
+def test_builder_walk_keeps_its_indexes_and_matches_the_functional_chain(X, picks):
+    builder = ComplexBuilder(X)
+    for pick in picks:
+        edges = X.edges()
+        edge = edges[pick % len(edges)]
+        X, w = subdivide_edge(X, edge)
+        assert builder.subdivide(edge) == w
+        assert (builder.star, builder.adj) == _indexes_from_facets(builder.facets)
+        assert builder.indexes_consistent()
+    assert builder.freeze() == X
+    assert builder.freeze().edges() == X.edges()
+
+
+@st.composite
+def pure_complexes(draw):
+    """A pure complex of dimension 0..3 on at most 7 vertices."""
+    pool = list(itertools.combinations(range(7), draw(st.integers(1, 4))))
+    return build_from_facets(
+        draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    )
+
+
+@fixed
+@given(st.one_of(pure_complexes(), subdivided_spheres()))
+def test_f_vector_matches_the_face_enumeration(X):
+    top = X.dimension + 1
+    faces = _faces_by_size(X, top)
+    counts = tuple(len(faces[k]) for k in range(1, top + 1))
+    assert f_vector(X).counts == counts
+    assert f_vector(X).euler == sum((-1) ** i * c for i, c in enumerate(counts))

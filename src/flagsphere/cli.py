@@ -146,15 +146,20 @@ def cmd_random_clique(args) -> int:
             raw = json.loads(args.config.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad config JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ParseError("config must be a JSON object")
         for key in ("n", "alpha", "seed"):
             if key not in raw:
                 raise ParseError(f"config missing required key {key!r}")
-        params = RandomCliqueParams(
-            n=int(raw["n"]),
-            alpha=float(raw["alpha"]),
-            d=int(raw.get("d", 3)),
-            seed=int(raw["seed"]),
-        )
+        try:
+            params = RandomCliqueParams(
+                n=int(raw["n"]),
+                alpha=float(raw["alpha"]),
+                d=int(raw.get("d", 3)),
+                seed=int(raw["seed"]),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"config values must be numbers: {exc}") from exc
     else:
         if args.n is None or args.alpha is None or args.seed is None:
             raise ParseError("random-clique needs --config or all of --n/--alpha/--seed")

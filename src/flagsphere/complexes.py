@@ -462,17 +462,24 @@ def _facet_incidence(
     return ridge_count, {v: frozenset(residues) for v, residues in star.items()}
 
 
-def _link_is_2_sphere(lk: SimplicialComplex) -> bool:
-    """Combinatorial check: closed connected surface with euler 2."""
-    if lk.is_empty or lk.dimension != 2:
-        return False
-    ridge_count, _ = _facet_incidence(lk)
-    if any(c != 2 for c in ridge_count.values()):
-        return False
-    if not _connected(lk.vertices, lk._adj):
-        return False
-    fv = f_vector(lk)
-    return fv.euler == 2
+def _link_is_2_sphere(triangles) -> bool:
+    """Is this set of triangles a closed connected surface with euler 2?
+
+    Each residue t - {u} is the edge of t opposite u and holds u's two
+    neighbours in t, so one pass counts the edges and builds the adjacency.
+    """
+    edge_count: dict[frozenset[int], int] = {}
+    adj: dict[int, set[int]] = {}
+    for t in triangles:
+        for u in t:
+            e = t - {u}
+            edge_count[e] = edge_count.get(e, 0) + 1
+            adj.setdefault(u, set()).update(e)
+    return (
+        all(c == 2 for c in edge_count.values())
+        and _connected(adj, adj)
+        and len(adj) - len(edge_count) + len(triangles) == 2
+    )
 
 
 def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
@@ -487,12 +494,7 @@ def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
     triangle_count, star = _facet_incidence(X)
     two_faces_ok = all(c == 2 for c in triangle_count.values())
     connected = _connected(X.vertices, X._adj)
-    links_ok = True
-    for residues in star.values():
-        lk = SimplicialComplex(residues, {u: X.tags[u] for r in residues for u in r})
-        if not _link_is_2_sphere(lk):
-            links_ok = False
-            break
+    links_ok = all(_link_is_2_sphere(residues) for residues in star.values())
     euler_zero = f_vector(X).euler == 0
     return VerificationReport(
         two_faces_in_two_facets=two_faces_ok,

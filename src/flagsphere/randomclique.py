@@ -1,8 +1,8 @@
 """Random clique complexes: sampling, forest-link measurement, pruning.
 
 Samples the clique complex of G(n, p) with p = n^-alpha truncated at a
-target dimension d, measures how many links of (d-3)-dimensional faces are
-forests, prunes vertices with cyclic links to a fixpoint, and reports
+target dimension d, tests the link of every (d-3)-dimensional face once for
+a cycle, prunes the vertices of the faces with cyclic links, and reports
 independence numbers against the n^alpha * log n reference curve.
 """
 
@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidAlpha, SolverTimeout
+from .errors import InvalidAlpha, SolverTimeout, TooSmall
 from .graphs import Graph, cliques, greedy_independent_set, max_independent_set_exact
 
 
@@ -25,6 +25,8 @@ class RandomCliqueParams:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.n < 1:
+            raise TooSmall(f"need at least one vertex, got n={self.n}")
         if self.d < 3:
             raise InvalidAlpha(f"dimension must be >= 3, got {self.d}")
         lo = 1.0 / (self.d - 1)
@@ -86,12 +88,9 @@ def sample_gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, in
     return edges
 
 
-def sample_clique_complex(
-    params: RandomCliqueParams, check: bool = True
-) -> tuple[Graph, TruncatedCliqueComplex]:
+def sample_clique_complex(params: RandomCliqueParams) -> tuple[Graph, TruncatedCliqueComplex]:
     """Sample G(n, n^-alpha) and its clique complex truncated at dimension d."""
-    if check:
-        params.validate()
+    params.validate()
     rng = random.Random(params.seed)
     g = Graph(params.n, sample_gnp_edges(params.n, params.p, rng))
     return g, TruncatedCliqueComplex(g, params.d)
@@ -124,52 +123,43 @@ def _link_graph_acyclic(g: Graph, face_vertices) -> bool:
     return True
 
 
-def forest_link_fraction(cc: TruncatedCliqueComplex, d: int | None = None) -> float:
-    """Fraction of (d-3)-dimensional faces whose link 1-skeleton is acyclic.
+def _link_census(cc: TruncatedCliqueComplex) -> tuple[float, set[int]]:
+    """Test the link of every (d-3)-dimensional face once.
 
-    For d=3 those faces are the vertices; for larger d they are the
-    (d-2)-vertex cliques.
+    Those faces are the (d-2)-vertex cliques: the vertices for d=3. Returns
+    the fraction of them whose link 1-skeleton is acyclic and the set of
+    vertices lying in a face whose link has a cycle.
     """
-    if d is None:
-        d = cc.d
-    face_size = d - 2
-    faces = cc.faces(face_size)
-    if not faces:
-        return 1.0
-    good = sum(1 for f in faces if _link_graph_acyclic(cc.graph, f))
-    return good / len(faces)
+    faces = cc.faces(cc.d - 2)
+    bad_faces = 0
+    bad_vertices: set[int] = set()
+    for f in faces:
+        if not _link_graph_acyclic(cc.graph, f):
+            bad_faces += 1
+            bad_vertices |= f
+    fraction = (len(faces) - bad_faces) / len(faces) if faces else 1.0
+    return fraction, bad_vertices
 
 
-def prune_bad_links(
-    cc: TruncatedCliqueComplex, d: int | None = None
-) -> tuple[TruncatedCliqueComplex, int]:
-    """Remove vertices lying in a (d-3)-face with a cyclic link, to a fixpoint.
+def forest_link_fraction(cc: TruncatedCliqueComplex) -> float:
+    """Fraction of (d-3)-dimensional faces whose link 1-skeleton is acyclic."""
+    return _link_census(cc)[0]
 
-    A single pass can expose new cyclic links, so passes repeat until every
-    surviving face has an acyclic link. Returns the pruned complex and the
+
+def prune_bad_links(cc: TruncatedCliqueComplex) -> tuple[TruncatedCliqueComplex, int]:
+    """Remove every vertex lying in a (d-3)-face with a cyclic link.
+
+    One pass reaches the fixpoint. A surviving face has no removed vertex,
+    so its link was a forest before pruning, and its pruned link is an
+    induced subgraph of that forest: a forest again. Returns the complex of
+    the graph induced on the survivors, relabelled 0..k-1 in order, and the
     number of removed vertices.
     """
-    if d is None:
-        d = cc.d
-    face_size = d - 2
-    removed_total = 0
-    current = cc
-    while True:
-        bad_vertices: set[int] = set()
-        for f in current.faces(face_size):
-            if not _link_graph_acyclic(current.graph, f):
-                bad_vertices |= f
-        if not bad_vertices:
-            return current, removed_total
-        removed_total += len(bad_vertices)
-        keep = [v for v in range(current.graph.n) if v not in bad_vertices]
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u, v in current.graph.edges
-            if u in index and v in index
-        ]
-        current = TruncatedCliqueComplex(Graph(len(keep), edges), d)
+    _, bad = _link_census(cc)
+    keep = [v for v in range(cc.graph.n) if v not in bad]
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in cc.graph.edges if u in index and v in index]
+    return TruncatedCliqueComplex(Graph(len(keep), edges), cc.d), len(bad)
 
 
 def independence_bound_report(
@@ -197,10 +187,10 @@ def independence_bound_report(
 
 
 def run_experiment(params: RandomCliqueParams) -> dict:
-    """Full experiment for one (n, alpha, d, seed): sample, measure, prune."""
+    """Full experiment for one (n, alpha, d, seed): sample, test every link
+    once, count what pruning removes."""
     g, cc = sample_clique_complex(params)
-    fraction = forest_link_fraction(cc)
-    pruned, removed = prune_bad_links(cc)
+    fraction, bad = _link_census(cc)
     bounds = independence_bound_report(g, params)
     return {
         "n": params.n,
@@ -210,8 +200,8 @@ def run_experiment(params: RandomCliqueParams) -> dict:
         "edge_count": g.edge_count,
         "face_counts": cc.face_counts(),
         "forest_fraction": fraction,
-        "removed": removed,
-        "surviving_vertices": pruned.graph.n,
+        "removed": len(bad),
+        "surviving_vertices": g.n - len(bad),
         "greedy_alpha": bounds["greedy_alpha"],
         "exact_alpha": bounds["exact_alpha"],
         "reference_curve": bounds["reference_curve"],

@@ -11,14 +11,19 @@ import pytest
 
 from flagsphere import (
     Graph,
+    OriginalTag,
     SimplicialComplex,
+    TruncatedCliqueComplex,
     build_from_facets,
     cyclic_4_sphere,
     empty_triangles,
+    f_vector,
     grotzsch_graph,
     mycielskian,
     subdivide_edge,
 )
+from flagsphere.complexes import _connected, _facet_incidence
+from flagsphere.randomclique import _link_graph_acyclic
 
 
 # (n, seed) of the triangle-free process graphs in the flagify corpus
@@ -95,6 +100,23 @@ def minimal_nonfaces_bruteforce(X, max_size: int) -> set[frozenset[int]]:
             if s not in faces and all(s - {x} in faces for x in s):
                 out.add(s)
     return out
+
+
+def link_is_2_sphere_reference(triangles) -> bool:
+    """Oracle for the manifold link check: build the link as a complex, then
+    test its ridge counts, its connectivity and the Euler characteristic of
+    its f-vector."""
+    lk = SimplicialComplex(
+        frozenset(triangles), {u: OriginalTag(u + 1) for t in triangles for u in t}
+    )
+    if lk.is_empty or lk.dimension != 2:
+        return False
+    ridge_count, _ = _facet_incidence(lk)
+    if any(c != 2 for c in ridge_count.values()):
+        return False
+    if not _connected(lk.vertices, lk._adj):
+        return False
+    return f_vector(lk).euler == 2
 
 
 @dataclass(frozen=True)
@@ -280,6 +302,29 @@ def expected_forest_fraction(n: int, alpha: float) -> float:
             continue
         total += weight * gnp_forest_probability(m, p)
     return total
+
+
+def prune_bad_links_fixpoint(cc: TruncatedCliqueComplex) -> tuple[TruncatedCliqueComplex, int]:
+    """Oracle for prune_bad_links: repeat whole passes, each over a rebuilt
+    and relabelled complex, until no (d-3)-face has a cyclic link."""
+    removed_total = 0
+    current = cc
+    while True:
+        bad_vertices: set[int] = set()
+        for f in current.faces(cc.d - 2):
+            if not _link_graph_acyclic(current.graph, f):
+                bad_vertices |= f
+        if not bad_vertices:
+            return current, removed_total
+        removed_total += len(bad_vertices)
+        keep = [v for v in range(current.graph.n) if v not in bad_vertices]
+        index = {v: i for i, v in enumerate(keep)}
+        edges = [
+            (index[u], index[v])
+            for u, v in current.graph.edges
+            if u in index and v in index
+        ]
+        current = TruncatedCliqueComplex(Graph(len(keep), edges), cc.d)
 
 
 @pytest.fixture(scope="session")

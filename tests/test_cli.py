@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from flagsphere import Graph, grotzsch_graph
 from flagsphere.cli import main
 from flagsphere.io import read_complex, write_graph
@@ -162,6 +164,30 @@ def test_random_clique_missing_seed_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "random-clique", "--config", str(cfg))
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        5,
+        "n alpha seed",
+        {"n": "x", "alpha": 0.55, "seed": 1},
+        {"n": None, "alpha": 0.55, "seed": 1},
+    ],
+)
+def test_random_clique_malformed_config_exit_two(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "random-clique", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "ParseError" in err
+
+
+def test_random_clique_no_vertices_exit_one(capsys):
+    code, _, err = run(capsys, "random-clique", "--n", "0", "--alpha", "0.55", "--seed", "1")
+    assert code == 1
+    assert "TooSmall" in err
 
 
 def test_random_clique_invalid_alpha_exit_one(capsys):

@@ -236,6 +236,17 @@ class TestManifoldVerification:
         assert not report.connected
         assert not report.passed
 
+    def test_wedge_fails_links_and_euler(self):
+        # two boundaries of the 4-simplex glued at vertex 0: the link of 0 is
+        # two disjoint 2-spheres, and euler = 0 + 0 - 1
+        facets = list(itertools.combinations(range(5), 4)) + list(
+            itertools.combinations((0, 5, 6, 7, 8), 4)
+        )
+        report = verify_closed_3_manifold(build_from_facets(facets))
+        assert report.two_faces_in_two_facets and report.connected
+        assert not report.vertex_links_are_2_spheres
+        assert not report.euler_zero
+
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):
             verify_closed_3_manifold(octahedron_boundary())

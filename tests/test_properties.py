@@ -6,7 +6,7 @@ inputs.
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagsphere import (
@@ -22,10 +22,15 @@ from flagsphere import (
     subdivide_edge,
     triangle_free_process,
 )
-from flagsphere.complexes import _facet_incidence, _faces_by_size, empty_triangles_of
+from flagsphere.complexes import (
+    _facet_incidence,
+    _faces_by_size,
+    _link_is_2_sphere,
+    empty_triangles_of,
+)
 from flagsphere.graphs import cliques
 
-from conftest import flagify_reference, minimal_nonfaces_bruteforce
+from conftest import flagify_reference, link_is_2_sphere_reference, minimal_nonfaces_bruteforce
 
 fixed = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -62,6 +67,41 @@ def test_star_residues_are_the_vertex_links(X):
     assert set(star) == set(X.vertices)
     for v in X.vertices:
         assert star[v] == link(X, (v,)).facets
+
+
+@st.composite
+def triangle_sets(draw):
+    """Triangles on at most 7 vertices, or a vertex link of a subdivided
+    sphere with up to two triangles dropped or added, so both answers occur."""
+    if draw(st.booleans()):
+        pool = [frozenset(t) for t in itertools.combinations(range(7), 3)]
+        return frozenset(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14)))
+    X = draw(subdivided_spheres())
+    _, star = _facet_incidence(X)
+    triangles = set(star[draw(st.sampled_from(X.vertices))])
+    for _ in range(draw(st.integers(0, 2))):
+        t = frozenset(draw(st.sets(st.sampled_from(X.vertices), min_size=3, max_size=3)))
+        triangles ^= {t}
+    return frozenset(triangles)
+
+
+# a tetrahedron boundary beside the 7-vertex torus: V - E + F = 2 + 0, so
+# only the connectivity check rejects it
+SPHERE_AND_TORUS = frozenset(
+    [frozenset(t) for t in itertools.combinations(range(4), 3)]
+    + [
+        frozenset(4 + (i + k) % 7 for k in ks)
+        for i in range(7)
+        for ks in ((0, 1, 3), (0, 2, 3))
+    ]
+)
+
+
+@fixed
+@given(triangle_sets())
+@example(SPHERE_AND_TORUS)
+def test_link_sphere_check_matches_the_complex_oracle(triangles):
+    assert _link_is_2_sphere(triangles) == link_is_2_sphere_reference(triangles)
 
 
 @st.composite

@@ -1,8 +1,10 @@
 """Random clique complexes: sampling determinism, links, pruning, reports."""
 
+import hashlib
 import itertools
+import json
 import math
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -12,13 +14,25 @@ from flagsphere import (
     TruncatedCliqueComplex,
     forest_link_fraction,
     prune_bad_links,
+    randomclique,
     run_experiment,
     sample_clique_complex,
 )
-from flagsphere.errors import InvalidAlpha
+from flagsphere.errors import InvalidAlpha, TooSmall
 from flagsphere.randomclique import independence_bound_report
 
-from conftest import expected_forest_fraction, forest_counts
+from conftest import expected_forest_fraction, forest_counts, prune_bad_links_fixpoint
+
+# (n, alpha, d, seed): SHA-256 of json.dumps(run_experiment(...), sort_keys=True,
+# indent=2), computed with the prune loop that repeated whole passes to a
+# fixpoint and re-tested every link in each of them. n=200 at d=4 removes
+# 5 vertices. Never regenerate them to make a change pass.
+GOLDEN_REPORTS = {
+    (300, 0.55, 3, 1): "d06006ab2b1c33e9b59870bb389a0ff59c5d23e7573184761747a5fee5b7e675",
+    (300, 0.55, 3, 2): "7d4e4f317b25a27548f0ea3a0625e096d728f8b86dbafb6cb223fa576cbb39a0",
+    (300, 0.55, 3, 3): "99c755b0b92e1fc98e934eae9eb4bb68aa586e81d225d4e9bd749bb96cb86714",
+    (200, 0.45, 4, 2): "db67bc2ba6503714beb387afafce4384438bc6caa7c6ecd5491174b5d41a41d8",
+}
 
 
 def is_forest_by_bfs(vertices, adjacent) -> bool:
@@ -53,11 +67,10 @@ class TestParams:
         with pytest.raises(InvalidAlpha):
             RandomCliqueParams(n=10, alpha=0.6, d=4, seed=1).validate()
 
-    def test_validity_waived_in_test_mode(self):
-        params = RandomCliqueParams(n=12, alpha=9.0, d=3, seed=1)
-        g, cc = sample_clique_complex(params, check=False)
-        assert g.edge_count == 0
-        assert forest_link_fraction(cc) == 1.0
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_no_vertices_too_small(self, n):
+        with pytest.raises(TooSmall):
+            RandomCliqueParams(n=n, alpha=0.55, d=3, seed=1).validate()
 
 
 class TestSampling:
@@ -94,7 +107,7 @@ class TestForestLinks:
 
     def test_d4_uses_edge_links(self):
         cc = TruncatedCliqueComplex(Graph.complete(6), 4)
-        assert forest_link_fraction(cc, 4) == 0.0  # edge links contain K4
+        assert forest_link_fraction(cc) == 0.0  # edge links contain K4
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_matches_bfs_count_on_samples(self, seed):
@@ -156,6 +169,15 @@ class TestPrune:
         pruned, removed = prune_bad_links(TruncatedCliqueComplex(Graph.complete(5), 3))
         assert removed == 5 and pruned.graph.n == 0
 
+    @pytest.mark.parametrize("key", sorted(GOLDEN_REPORTS))
+    def test_one_pass_equals_the_fixpoint(self, key):
+        n, alpha, d, seed = key
+        _, cc = sample_clique_complex(RandomCliqueParams(n=n, alpha=alpha, d=d, seed=seed))
+        pruned, removed = prune_bad_links(cc)
+        oracle, oracle_removed = prune_bad_links_fixpoint(cc)
+        assert removed == oracle_removed > 0
+        assert pruned.graph == oracle.graph
+
     @pytest.mark.parametrize("seed", (1, 2))
     def test_sampled_postcondition(self, seed):
         params = RandomCliqueParams(n=500, alpha=0.55, d=3, seed=seed)
@@ -203,3 +225,35 @@ class TestExperiment:
         ):
             assert key in rep1
         assert 0.0 <= rep1["forest_fraction"] <= 1.0
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_REPORTS))
+    def test_golden_report_bytes(self, key):
+        n, alpha, d, seed = key
+        report = run_experiment(RandomCliqueParams(n=n, alpha=alpha, d=d, seed=seed))
+        text = json.dumps(report, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[key]
+
+    @pytest.mark.parametrize("key", [(300, 0.55, 3, 1), (200, 0.45, 4, 2)])
+    def test_each_link_tested_once(self, key, monkeypatch):
+        n, alpha, d, seed = key
+        params = RandomCliqueParams(n=n, alpha=alpha, d=d, seed=seed)
+        _, cc = sample_clique_complex(params)
+        tested = Counter()
+        built = []
+        acyclic = randomclique._link_graph_acyclic
+
+        def counting_acyclic(g, face):
+            tested[frozenset(face)] += 1
+            return acyclic(g, face)
+
+        class CountingComplex(TruncatedCliqueComplex):
+            def __init__(self, graph, d):
+                built.append(graph.n)
+                super().__init__(graph, d)
+
+        monkeypatch.setattr(randomclique, "_link_graph_acyclic", counting_acyclic)
+        monkeypatch.setattr(randomclique, "TruncatedCliqueComplex", CountingComplex)
+        run_experiment(params)
+        assert set(tested) == cc.faces(d - 2)
+        assert set(tested.values()) == {1}
+        assert built == [n]

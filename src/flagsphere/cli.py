@@ -140,6 +140,22 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def _config_value(raw: dict, key: str, kind: type, default=None):
+    """One random-clique config value converted to `kind`. A missing required
+    value, a boolean, or a fraction where an integer is wanted is a ParseError."""
+    if key not in raw and default is None:
+        raise ParseError(f"config missing required key {key!r}")
+    value = raw.get(key, default)
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ParseError(f"config value {key!r} must be {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"config values must be numbers: {exc}") from exc
+
+
 def cmd_random_clique(args) -> int:
     if args.config:
         try:
@@ -148,18 +164,12 @@ def cmd_random_clique(args) -> int:
             raise ParseError(f"bad config JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
-        for key in ("n", "alpha", "seed"):
-            if key not in raw:
-                raise ParseError(f"config missing required key {key!r}")
-        try:
-            params = RandomCliqueParams(
-                n=int(raw["n"]),
-                alpha=float(raw["alpha"]),
-                d=int(raw.get("d", 3)),
-                seed=int(raw["seed"]),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"config values must be numbers: {exc}") from exc
+        params = RandomCliqueParams(
+            n=_config_value(raw, "n", int),
+            alpha=_config_value(raw, "alpha", float),
+            d=_config_value(raw, "d", int, default=3),
+            seed=_config_value(raw, "seed", int),
+        )
     else:
         if args.n is None or args.alpha is None or args.seed is None:
             raise ParseError("random-clique needs --config or all of --n/--alpha/--seed")

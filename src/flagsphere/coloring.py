@@ -37,6 +37,7 @@ from .graphs import (
     chromatic_number_exact,
     greedy_independent_set,
     max_independent_set_exact,
+    smallest_last_order,
 )
 
 DEFAULT_X = math.sqrt(5.0)
@@ -75,7 +76,6 @@ class PeelParams:
     planar_strategy: str = "exact4"  # exact4 | five | greedy
     exact4_cap: int = 64
     allow_fallback: bool = True
-    debug: bool = False
 
     def __post_init__(self):
         if self.x <= 0:
@@ -86,36 +86,17 @@ class PeelParams:
 
 def greedy_degeneracy_color(g: Graph) -> Coloring:
     """Greedy coloring in degeneracy order; uses at most max-degree+1 colors."""
-    remaining = {v: set(g.neighbors(v)) for v in range(g.n)}
-    order: list[int] = []
-    while remaining:
-        v = min(remaining, key=lambda u: (len(remaining[u]), u))
-        order.append(v)
-        for u in remaining[v]:
-            remaining[u].discard(v)
-        del remaining[v]
     assignment: dict[int, int] = {}
-    for v in reversed(order):
+    for _, v in reversed(smallest_last_order(g)):
         used = {assignment[u] for u in g.neighbors(v) if u in assignment}
         c = 0
         while c in used:
             c += 1
         assignment[v] = c
-    return Coloring.from_assignment(assignment) if assignment else Coloring({}, 0)
+    return Coloring.from_assignment(assignment)
 
 
-def _check_planar(g: Graph) -> None:
-    import networkx as nx
-
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    ok, _ = nx.check_planarity(h)
-    if not ok:
-        raise NotPlanar(f"graph with {g.n} vertices and {g.edge_count} edges")
-
-
-def five_color_planar(g: Graph, check_planar: bool = False) -> Coloring:
+def five_color_planar(g: Graph) -> Coloring:
     """Proper coloring of a planar graph with at most 5 colors.
 
     Vertices are stripped in min-degree order (planarity keeps this <= 5)
@@ -123,20 +104,10 @@ def five_color_planar(g: Graph, check_planar: bool = False) -> Coloring:
     palette is resolved by a Kempe two-color component swap, which must
     succeed for planar inputs.
     """
-    if check_planar:
-        _check_planar(g)
-    if g.n == 0:
-        return Coloring({}, 0)
-    remaining = {v: set(g.neighbors(v)) for v in range(g.n)}
-    stack: list[int] = []
-    while remaining:
-        v = min(remaining, key=lambda u: (len(remaining[u]), u))
-        if len(remaining[v]) > 5:
-            raise NotPlanar(f"minimum degree {len(remaining[v])} exceeds 5")
-        stack.append(v)
-        for u in remaining[v]:
-            remaining[u].discard(v)
-        del remaining[v]
+    stack = smallest_last_order(g)
+    for d, _ in stack:
+        if d > 5:
+            raise NotPlanar(f"minimum degree {d} exceeds 5")
 
     assignment: dict[int, int] = {}
 
@@ -165,7 +136,7 @@ def five_color_planar(g: Graph, check_planar: bool = False) -> Coloring:
                 return ci
         raise NotPlanar("no Kempe swap available; input cannot be planar")
 
-    for v in reversed(stack):
+    for _, v in reversed(stack):
         used = {assignment[u] for u in g.neighbors(v) if u in assignment}
         free = [c for c in range(5) if c not in used]
         assignment[v] = free[0] if free else kempe_free_color(v)
@@ -174,8 +145,6 @@ def five_color_planar(g: Graph, check_planar: bool = False) -> Coloring:
 
 def _color_planar_patch(g: Graph, params: PeelParams) -> Coloring:
     """Color one peeled neighborhood graph according to the strategy."""
-    if params.debug:
-        _check_planar(g)
     if params.planar_strategy == "greedy":
         return greedy_degeneracy_color(g)
     if params.planar_strategy == "exact4" and g.n <= params.exact4_cap:

@@ -9,6 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -132,6 +133,28 @@ def cliques(adj, max_size: int):
                         stack.append((grown, common))
 
 
+def smallest_last_order(g: Graph) -> list[tuple[int, int]]:
+    """(remaining degree, vertex) in the order of repeatedly deleting a vertex
+    of least (degree, id) (Matula & Beck, J. ACM 1983). Degrees only fall, so
+    a vertex's live heap entry pops before its stale ones, which are skipped."""
+    degree = [g.degree(v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    deleted = [False] * g.n
+    order: list[tuple[int, int]] = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if deleted[v]:
+            continue
+        deleted[v] = True
+        order.append((d, v))
+        for u in g.neighbors(v):
+            if not deleted[u]:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+    return order
+
+
 def mycielskian(g: Graph) -> Graph:
     """Mycielski construction: triangle-free preserving, chromatic number +1.
 
@@ -226,46 +249,64 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
 
     Returns an assignment list or None after exhausting the (symmetry
     reduced) search space. New color indices are introduced in order, so
-    permutations of the palette are explored once.
+    permutations of the palette are explored once. Bit i of every mask is
+    the i-th vertex by (-degree, id); has[c] holds the vertices with a
+    neighbor colored c and bucket[s] the uncolored ones with s distinct
+    neighbor colors, so the lowest bit of the top non-empty bucket is the
+    DSATUR choice (Brelaz, Commun. ACM 1979).
     """
     n = g.n
     if n == 0:
         return []
     if k <= 0:
-        return None if g.n else []
-    colors = [-1] * n
-    sat: list[set[int]] = [set() for _ in range(n)]
-    uncolored = set(range(n))
+        return None
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    rank = {v: i for i, v in enumerate(order)}
+    nbr = [sum(1 << rank[u] for u in g.neighbors(v)) for v in order]
+    has = [0] * k
+    bucket = [0] * (k + 1)
+    colors = [0] * n
 
-    def pick() -> int:
-        return max(uncolored, key=lambda v: (len(sat[v]), g.degree(v), -v))
+    def shift(rest: int, s: int, step: int) -> None:
+        # move each bit of `rest` one bucket by `step`, scanning from s against it
+        while rest:
+            moving = rest & bucket[s]
+            bucket[s] ^= moving
+            bucket[s + step] |= moving
+            rest ^= moving
+            s -= step
 
-    def backtrack(num_used: int) -> bool:
+    def backtrack(num_used: int, uncolored: int) -> bool:
         budget.spend()
         if not uncolored:
             return True
-        v = pick()
-        uncolored.discard(v)
-        limit_c = min(k, num_used + 1)
-        for c in range(limit_c):
-            if c in sat[v]:
+        s = num_used
+        while not bucket[s]:
+            s -= 1
+        bit = bucket[s] & -bucket[s]
+        i = bit.bit_length() - 1
+        bucket[s] ^= bit
+        uncolored ^= bit
+        free_nbrs = nbr[i] & uncolored
+        for c in range(num_used + 1 if num_used < k else k):
+            if has[c] & bit:
                 continue
-            colors[v] = c
-            touched = []
-            for u in g.neighbors(v):
-                if colors[u] == -1 and c not in sat[u]:
-                    sat[u].add(c)
-                    touched.append(u)
-            if backtrack(max(num_used, c + 1)):
+            colors[i] = c
+            used = num_used if c < num_used else c + 1
+            touched = free_nbrs & ~has[c]
+            has[c] |= touched
+            # touched vertices lack c, so their saturation is below `used`
+            shift(touched, used - 1, 1)
+            if backtrack(used, uncolored):
                 return True
-            for u in touched:
-                sat[u].discard(c)
-            colors[v] = -1
-        uncolored.add(v)
+            has[c] ^= touched
+            shift(touched, 1, -1)
+        bucket[s] |= bit
         return False
 
-    if backtrack(0):
-        return colors[:]
+    bucket[0] = (1 << n) - 1
+    if backtrack(0, bucket[0]):
+        return [colors[rank[v]] for v in range(n)]
     return None
 
 
@@ -304,10 +345,6 @@ def chromatic_number_exact(
 # -- independent sets ----------------------------------------------------------
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def max_independent_set_exact(g: Graph, node_budget: int = 50_000_000) -> set[int]:
     """A maximum independent set via bitset branch and bound.
 
@@ -325,7 +362,6 @@ def max_independent_set_exact(g: Graph, node_budget: int = 50_000_000) -> set[in
     budget = _Budget(node_budget)
 
     # deterministic greedy start for the bound
-    best_mask = 0
     taken = 0
     blocked = 0
     for v in sorted(range(n), key=lambda v: (g.degree(v), v)):
@@ -333,7 +369,7 @@ def max_independent_set_exact(g: Graph, node_budget: int = 50_000_000) -> set[in
             taken |= 1 << v
             blocked |= (1 << v) | nbr[v]
     best_mask = taken
-    best_size = _popcount(taken)
+    best_size = taken.bit_count()
 
     def bb(cand: int, cur_mask: int, cur_size: int):
         nonlocal best_mask, best_size
@@ -347,7 +383,7 @@ def max_independent_set_exact(g: Graph, node_budget: int = 50_000_000) -> set[in
             while c:
                 v = (c & -c).bit_length() - 1
                 c &= c - 1
-                d = _popcount(nbr[v] & cand)
+                d = (nbr[v] & cand).bit_count()
                 if d <= 1:
                     cand &= ~((1 << v) | nbr[v])
                     cur_mask |= 1 << v
@@ -359,7 +395,7 @@ def max_independent_set_exact(g: Graph, node_budget: int = 50_000_000) -> set[in
                     max_v = v
             if reduced:
                 continue
-            if cur_size + _popcount(cand) <= best_size:
+            if cur_size + cand.bit_count() <= best_size:
                 return
             v = max_v
             bb(cand & ~((1 << v) | nbr[v]), cur_mask | (1 << v), cur_size + 1)

@@ -202,6 +202,77 @@ def flagify_reference(g: Graph, n: int) -> ReferenceState:
     return state
 
 
+def k_colorable_reference(g: Graph, k: int, budget) -> list[int] | None:
+    """Oracle for graphs._k_colorable: the set-based DSATUR search it replaced.
+
+    Each node scans every uncolored vertex for the largest (saturation,
+    degree, -id) and updates neighbor saturation sets one by one. It spends
+    the budget at the same nodes, so node counts and timeouts must agree.
+    """
+    n = g.n
+    if n == 0:
+        return []
+    if k <= 0:
+        return None
+    colors = [-1] * n
+    sat: list[set[int]] = [set() for _ in range(n)]
+    uncolored = set(range(n))
+
+    def pick() -> int:
+        return max(uncolored, key=lambda v: (len(sat[v]), g.degree(v), -v))
+
+    def backtrack(num_used: int) -> bool:
+        budget.spend()
+        if not uncolored:
+            return True
+        v = pick()
+        uncolored.discard(v)
+        for c in range(min(k, num_used + 1)):
+            if c in sat[v]:
+                continue
+            colors[v] = c
+            touched = []
+            for u in g.neighbors(v):
+                if colors[u] == -1 and c not in sat[u]:
+                    sat[u].add(c)
+                    touched.append(u)
+            if backtrack(max(num_used, c + 1)):
+                return True
+            for u in touched:
+                sat[u].discard(c)
+            colors[v] = -1
+        uncolored.add(v)
+        return False
+
+    if backtrack(0):
+        return colors[:]
+    return None
+
+
+def smallest_last_order_reference(g: Graph) -> list[tuple[int, int]]:
+    """Oracle for graphs.smallest_last_order: a full min-scan of the remaining
+    (degree, id) at every deletion."""
+    remaining = {v: set(g.neighbors(v)) for v in range(g.n)}
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(remaining[u]), u))
+        order.append((len(remaining[v]), v))
+        for u in remaining[v]:
+            remaining[u].discard(v)
+        del remaining[v]
+    return order
+
+
+def is_planar(g: Graph) -> bool:
+    """Oracle for planarity: networkx's left-right planarity test."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return nx.check_planarity(h)[0]
+
+
 def brute_chromatic(g: Graph, k_max: int | None = None) -> int:
     """Smallest k admitting a proper coloring, by trying all assignments."""
     if g.n == 0:

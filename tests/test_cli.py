@@ -173,6 +173,13 @@ def test_random_clique_missing_seed_exit_two(tmp_path, capsys):
         "n alpha seed",
         {"n": "x", "alpha": 0.55, "seed": 1},
         {"n": None, "alpha": 0.55, "seed": 1},
+        {"n": 50.9, "alpha": 0.55, "seed": 1},
+        {"n": 50, "alpha": 0.55, "seed": True},
+        {"n": True, "alpha": 0.55, "seed": 1},
+        {"n": 50, "alpha": 0.55, "d": 3.5, "seed": 1},
+        {"n": 50, "alpha": 0.55, "d": False, "seed": 1},
+        {"n": 50, "alpha": 0.55, "seed": 1.5},
+        {"n": 50, "alpha": True, "seed": 1},
     ],
 )
 def test_random_clique_malformed_config_exit_two(tmp_path, capsys, config):

@@ -14,9 +14,13 @@ from flagsphere import (
     five_color_planar,
     flagify,
     greedy_degeneracy_color,
+    grotzsch_graph,
     measure_alpha,
+    mycielskian,
     peel_color_3,
+    triangle_free_process,
 )
+from flagsphere import coloring
 from flagsphere.coloring import (
     check_proper_on_complex,
     palette_term,
@@ -35,7 +39,13 @@ from flagsphere.errors import (
 )
 from flagsphere.graphs import is_proper_coloring
 
-from conftest import icosahedron_graph, sixteen_cell, simplex_boundary
+from conftest import (
+    PROCESS_CASES,
+    icosahedron_graph,
+    is_planar,
+    sixteen_cell,
+    simplex_boundary,
+)
 
 
 class TestCdConstant:
@@ -74,13 +84,15 @@ class TestPaletteTerm:
 class TestFiveColor:
     def test_k4(self):
         g = Graph.complete(4)
-        col = five_color_planar(g, check_planar=True)
+        assert is_planar(g)
+        col = five_color_planar(g)
         assert is_proper_coloring(g, col)
         assert col.color_count == 4
 
     def test_icosahedron(self):
         g = icosahedron_graph()
-        col = five_color_planar(g, check_planar=True)
+        assert is_planar(g)
+        col = five_color_planar(g)
         assert is_proper_coloring(g, col)
         assert col.color_count <= 5
 
@@ -90,12 +102,11 @@ class TestFiveColor:
 
     def test_k5_uses_five(self):
         g = Graph.complete(5)
-        col = five_color_planar(g)  # no planarity check: still 5-colorable
+        col = five_color_planar(g)  # not planar, but still 5-colorable
         assert is_proper_coloring(g, col) and col.color_count == 5
 
-    def test_k5_rejected_in_debug(self):
-        with pytest.raises(NotPlanar):
-            five_color_planar(Graph.complete(5), check_planar=True)
+    def test_k5_rejected_by_the_planarity_oracle(self):
+        assert not is_planar(Graph.complete(5))
 
     def test_k6_fails_loudly(self):
         with pytest.raises(NotPlanar):
@@ -120,6 +131,29 @@ class TestGreedyDegeneracy:
         col = greedy_degeneracy_color(g)
         assert is_proper_coloring(g, col)
         assert col.color_count <= g.max_degree() + 1
+
+
+def _peel_recording_patches(X, params):
+    """peel_color_3 with every neighborhood graph it colors recorded."""
+    patches = []
+    inner = coloring._color_planar_patch
+
+    def record(g, params):
+        patches.append(g)
+        return inner(g, params)
+
+    coloring._color_planar_patch = record
+    try:
+        return peel_color_3(X, params), patches
+    finally:
+        coloring._color_planar_patch = inner
+
+
+_M5 = mycielskian(grotzsch_graph())
+# spheres whose default peel colors several patches
+PATCH_CASES = [("M5", _M5, 23), ("M6", mycielskian(_M5), 47)] + [
+    (f"process-{n}-{seed}", triangle_free_process(n, seed), n) for n, seed in PROCESS_CASES[-3:]
+]
 
 
 class TestPeel:
@@ -168,10 +202,22 @@ class TestPeel:
         X, _, _ = flagify(grotzsch, 11)
         n = X.vertex_count
         for strategy, p in (("exact4", 4), ("five", 5), ("greedy", 6)):
-            params = PeelParams(x=2.0, planar_strategy=strategy, debug=True)
-            col = peel_color_3(X, params)
+            params = PeelParams(x=2.0, planar_strategy=strategy)
+            col, patches = _peel_recording_patches(X, params)
             assert check_proper_on_complex(X, col)
             assert col.color_count <= peel_color_bound(p, 2.0, n)
+            assert patches and all(is_planar(g) for g in patches)
+
+    @pytest.mark.parametrize(
+        "g,n", [case[1:] for case in PATCH_CASES], ids=[case[0] for case in PATCH_CASES]
+    )
+    def test_peeled_patches_are_planar(self, g, n):
+        """In a flag 3-sphere a patch is an induced subgraph of a vertex link's
+        1-skeleton, a triangulated 2-sphere, so it must be planar."""
+        X, _, _ = flagify(g, n)
+        col, patches = _peel_recording_patches(X, PeelParams())
+        assert check_proper_on_complex(X, col)
+        assert patches and all(is_planar(p) for p in patches)
 
 
 class TestCertify:

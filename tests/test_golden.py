@@ -1,18 +1,25 @@
-"""Golden hashes of the flagify corpus: complex and trace bytes are pinned.
+"""Golden hashes: flagify complex and trace bytes, certify reports and peel
+colorings are pinned.
 
-The SHA-256 values were computed with the snapshot-per-round flagify kernel
-that preceded the indexed builder, before that kernel changed. Any change to
-the selection order, the repair rule, vertex numbering or the file formats
-shows up here. Never regenerate them to make a change pass.
+The flagify SHA-256 values were computed with the snapshot-per-round
+flagify kernel that preceded the indexed builder, before that kernel
+changed. The certify and coloring values were computed with the set-based
+DSATUR search and the min-scan smallest-last order, before either changed.
+Any change to the selection order, the repair rule, vertex numbering, the
+solver's search order or the file formats shows up here. Never regenerate
+them to make a change pass.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
 from flagsphere import Graph, cyclic_4_sphere, flagify, grotzsch_graph, mycielskian, replay
-from flagsphere import triangle_free_process
-from flagsphere.io import write_complex, write_trace
+from flagsphere import chromatic_number_exact, peel_color_3, triangle_free_process
+from flagsphere.cli import main
+from flagsphere.io import write_coloring, write_complex, write_graph, write_trace
 
 from conftest import PROCESS_CASES
 
@@ -47,6 +54,23 @@ GOLDEN = {
 }
 
 
+# label: sha256 of the `certify --k chi` stdout, which holds solver_nodes
+CERTIFY_GOLDEN = {
+    "grotzsch": "a6a64277f2179f2766b5e9a4b0e8c8efc6cfd0a8f5f661a07ed1dfe0c79d12cf",
+    "M5": "8166ae467803245e337c26541e2993a1788b6834b11aa3ebe307b8e773b2f8fd",
+}
+
+# label: sha256 of the write_coloring bytes of peel_color_3 with default
+# parameters; every one of these peels colors exact4 patches
+COLORING_GOLDEN = {
+    "M5": "d959608d7027d7000b3a04613c881821f2b1d33d78e89f94fe5f11b41e44a4eb",
+    "M6": "16e50a43cc5ba5950c91ca62d46f9e1d89e45e08018c64b6aec8ca3d90a0377e",
+    "process-17-8": "735eaef69ddf61df30bdb865e3e98e3bca37d7fcad5a348630125a3759bac461",
+    "process-18-9": "ca9213bbdc9ecc57c46d7cf30bbffa6fa57bc556c29819d0a3f2a999131d7b6c",
+    "process-20-10": "21aa0c4debd1f2780ac070a246520c55c006ffd7a37276b78bfd59e9043ebf5c",
+}
+
+
 def _graph(label: str) -> Graph:
     if label == "C5":
         return Graph.cycle(5)
@@ -54,6 +78,8 @@ def _graph(label: str) -> Graph:
         return grotzsch_graph()
     if label == "M5":
         return mycielskian(grotzsch_graph())
+    if label == "M6":
+        return mycielskian(mycielskian(grotzsch_graph()))
     _, n, seed = label.split("-")
     return triangle_free_process(int(n), int(seed))
 
@@ -75,3 +101,35 @@ def test_flagify_bytes_match_the_golden_hashes(label, n, tmp_path):
     # the replayed trace writes the same bytes
     write_complex(replay(cyclic_4_sphere(n).complex, trace), tmp_path / "replay.txt")
     assert (tmp_path / "replay.txt").read_bytes() == (tmp_path / "complex.txt").read_bytes()
+
+
+@pytest.mark.parametrize("label,n,k", [("grotzsch", 11, 4), ("M5", 23, 5)])
+def test_certify_report_matches_the_golden_hash(label, n, k, tmp_path):
+    g = _graph(label)
+    X, _, _ = flagify(g, n)
+    write_complex(X, tmp_path / "complex.txt")
+    write_graph(g, tmp_path / "graph.txt")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
+            "certify", "--in", str(tmp_path / "complex.txt"),
+            "--graph", str(tmp_path / "graph.txt"), "--k", str(k),
+        ])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CERTIFY_GOLDEN[label]
+
+
+COLORING_CASES = [("M5", 23), ("M6", 47), ("process-17-8", 17), ("process-18-9", 18),
+                  ("process-20-10", 20)]
+
+
+@pytest.mark.parametrize("label,n", COLORING_CASES, ids=[label for label, _ in COLORING_CASES])
+def test_peel_coloring_bytes_match_the_golden_hash(label, n, tmp_path):
+    X, _, _ = flagify(_graph(label), n)
+    write_coloring(peel_color_3(X), tmp_path / "coloring.txt")
+    assert _sha256(tmp_path / "coloring.txt") == COLORING_GOLDEN[label]
+
+
+def test_m6_exceedance_search_node_count():
+    m6 = _graph("M6")
+    assert chromatic_number_exact(m6, limit=5).nodes == 450198

@@ -28,9 +28,16 @@ from flagsphere.complexes import (
     _link_is_2_sphere,
     empty_triangles_of,
 )
-from flagsphere.graphs import cliques
+from flagsphere.errors import SolverTimeout
+from flagsphere.graphs import _Budget, _k_colorable, cliques, smallest_last_order
 
-from conftest import flagify_reference, link_is_2_sphere_reference, minimal_nonfaces_bruteforce
+from conftest import (
+    flagify_reference,
+    k_colorable_reference,
+    link_is_2_sphere_reference,
+    minimal_nonfaces_bruteforce,
+    smallest_last_order_reference,
+)
 
 fixed = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -184,3 +191,48 @@ def test_f_vector_matches_the_face_enumeration(X):
     counts = tuple(len(faces[k]) for k in range(1, top + 1))
     assert f_vector(X).counts == counts
     assert f_vector(X).euler == sum((-1) ** i * c for i, c in enumerate(counts))
+
+
+@st.composite
+def solver_graphs(draw):
+    """A random graph on at most 14 vertices, or a triangle-free process
+    graph on at most 24."""
+    if draw(st.booleans()):
+        return triangle_free_process(draw(st.integers(1, 24)), draw(st.integers(0, 10**6)))
+    n = draw(st.integers(0, 14))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, keep in zip(pairs, chosen) if keep])
+
+
+def _search(solver, g, k, cap):
+    """A solver's result, or "timeout", with the nodes it spent."""
+    budget = _Budget(cap)
+    try:
+        found = solver(g, k, budget)
+    except SolverTimeout:
+        found = "timeout"
+    return found, budget.used
+
+
+@fixed
+@given(solver_graphs())
+def test_bitset_dsatur_matches_the_set_based_search(g):
+    for k in range(7):
+        assert _search(_k_colorable, g, k, 10**5) == _search(k_colorable_reference, g, k, 10**5)
+
+
+@fixed
+@given(solver_graphs().filter(lambda g: g.n > 0), st.integers(0, 23))
+def test_bitset_dsatur_times_out_at_the_same_node(g, cap):
+    cap %= g.n  # a coloring takes n + 1 nodes: no search below can find one
+    for k in range(1, 7):
+        found, used = _search(_k_colorable, g, k, cap)
+        assert (found, used) == _search(k_colorable_reference, g, k, cap)
+        assert found is None or (found == "timeout" and used == cap + 1)
+
+
+@fixed
+@given(solver_graphs())
+def test_smallest_last_heap_matches_the_min_scan(g):
+    assert smallest_last_order(g) == smallest_last_order_reference(g)

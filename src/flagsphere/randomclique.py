@@ -1,8 +1,9 @@
-"""Random clique complexes: sampling, forest-link measurement, pruning.
+"""Random clique complexes: sampling, forest-link census, pruning.
 
-Samples the clique complex of G(n, p) with p = n^-alpha truncated at a
-target dimension d, tests the link of every (d-3)-dimensional face once for
-a cycle, prunes the vertices of the faces with cyclic links, and reports
+Samples G(n, p) with p = n^-alpha. One clique pass counts the faces of its
+clique complex truncated at dimension d, without storing them, and tests the
+link of every (d-3)-face for a cycle: each d-clique is one link edge of each
+of its (d-2)-vertex subsets. Reports the vertices pruning removes and
 independence numbers against the n^alpha * log n reference curve.
 """
 
@@ -60,7 +61,8 @@ class TruncatedCliqueComplex:
 
 
 def sample_gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
-    """Seeded G(n,p) edge sample via geometric jumps over the pair index."""
+    """Seeded G(n,p) edge sample via geometric jumps over the pair index k of
+    (i, j), i < j, row by row; k only grows, so the row i walks along with it."""
     if n < 2 or p <= 0.0:
         return []
     if p >= 1.0:
@@ -69,33 +71,33 @@ def sample_gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, in
     total = n * (n - 1) // 2
     logq = math.log1p(-p)
     k = -1
+    i, row_end = 0, n - 1
     while True:
         r = rng.random()
         gap = int(math.log(1.0 - r) / logq) + 1 if r > 0.0 else 1
         k += gap
         if k >= total:
             break
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (mid + 1) * n - (mid + 1) * (mid + 2) // 2 <= k:
-                lo = mid + 1
-            else:
-                hi = mid
-        i = lo
-        j = k - (i * n - i * (i + 1) // 2) + i + 1
-        edges.append((i, j))
+        while k >= row_end:
+            i += 1
+            row_end += n - 1 - i
+        edges.append((i, k - row_end + n))
     return edges
+
+
+def sample_graph(params: RandomCliqueParams) -> Graph:
+    """Validate the parameters and sample G(n, n^-alpha) from the seed."""
+    params.validate()
+    return Graph(params.n, sample_gnp_edges(params.n, params.p, random.Random(params.seed)))
 
 
 def sample_clique_complex(params: RandomCliqueParams) -> tuple[Graph, TruncatedCliqueComplex]:
     """Sample G(n, n^-alpha) and its clique complex truncated at dimension d."""
-    params.validate()
-    rng = random.Random(params.seed)
-    g = Graph(params.n, sample_gnp_edges(params.n, params.p, rng))
+    g = sample_graph(params)
     return g, TruncatedCliqueComplex(g, params.d)
 
 
+# not called here; the census oracle and a perfbench/run.py trace site, bound for tests/conftest.py
 def _link_graph_acyclic(g: Graph, face_vertices) -> bool:
     """Is the graph induced on the common neighborhood of `face_vertices` a forest?"""
     common: set[int] | None = None
@@ -123,27 +125,48 @@ def _link_graph_acyclic(g: Graph, face_vertices) -> bool:
     return True
 
 
-def _link_census(cc: TruncatedCliqueComplex) -> tuple[float, set[int]]:
-    """Test the link of every (d-3)-dimensional face once.
+def _root(parent: dict[int, int], x: int) -> int:
+    """Union-find root of x by path splitting; roots are absent from `parent`."""
+    while x in parent:
+        up = parent[x]
+        parent[x] = parent.get(up, up)
+        x = up
+    return x
 
-    Those faces are the (d-2)-vertex cliques: the vertices for d=3. Returns
-    the fraction of them whose link 1-skeleton is acyclic and the set of
-    vertices lying in a face whose link has a cycle.
+
+def clique_census(g: Graph, d: int) -> tuple[dict[int, int], float, set[int]]:
+    """Count the faces of the clique complex truncated at dimension d and test
+    the link of every (d-3)-face, the (d-2)-cliques, in one clique pass.
+
+    The link 1-skeleton of a face f has one edge, C - f, per d-clique C that
+    contains f, so each d-clique feeds its pairs to per-face union-finds. Returns
+    the face counts by size (1 and 2 always, larger sizes when present), the
+    fraction of (d-3)-faces whose link is acyclic and the vertices of the rest.
     """
-    faces = cc.faces(cc.d - 2)
-    bad_faces = 0
-    bad_vertices: set[int] = set()
-    for f in faces:
-        if not _link_graph_acyclic(cc.graph, f):
-            bad_faces += 1
-            bad_vertices |= f
-    fraction = (len(faces) - bad_faces) / len(faces) if faces else 1.0
-    return fraction, bad_vertices
+    counts = dict.fromkeys(range(1, d + 2), 0)
+    forests: dict[tuple[int, ...], dict[int, int]] = {}
+    bad: set[tuple[int, ...]] = set()
+    for clique in cliques({v: g.neighbors(v) for v in range(g.n)}, d + 1):
+        counts[len(clique)] += 1
+        if len(clique) != d:
+            continue
+        for u, w in itertools.combinations(clique, 2):
+            face = tuple(x for x in clique if x != u and x != w)
+            parent = forests.setdefault(face, {})
+            ru, rw = _root(parent, u), _root(parent, w)
+            if ru == rw:
+                bad.add(face)
+            else:
+                parent[ru] = rw
+    faces = counts[d - 2]
+    fraction = (faces - len(bad)) / faces if faces else 1.0
+    face_counts = {k: c for k, c in counts.items() if c or k <= 2}
+    return face_counts, fraction, {v for face in bad for v in face}
 
 
 def forest_link_fraction(cc: TruncatedCliqueComplex) -> float:
     """Fraction of (d-3)-dimensional faces whose link 1-skeleton is acyclic."""
-    return _link_census(cc)[0]
+    return clique_census(cc.graph, cc.d)[1]
 
 
 def prune_bad_links(cc: TruncatedCliqueComplex) -> tuple[TruncatedCliqueComplex, int]:
@@ -155,7 +178,7 @@ def prune_bad_links(cc: TruncatedCliqueComplex) -> tuple[TruncatedCliqueComplex,
     the graph induced on the survivors, relabelled 0..k-1 in order, and the
     number of removed vertices.
     """
-    _, bad = _link_census(cc)
+    _, _, bad = clique_census(cc.graph, cc.d)
     keep = [v for v in range(cc.graph.n) if v not in bad]
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in cc.graph.edges if u in index and v in index]
@@ -187,10 +210,10 @@ def independence_bound_report(
 
 
 def run_experiment(params: RandomCliqueParams) -> dict:
-    """Full experiment for one (n, alpha, d, seed): sample, test every link
-    once, count what pruning removes."""
-    g, cc = sample_clique_complex(params)
-    fraction, bad = _link_census(cc)
+    """Full experiment for one (n, alpha, d, seed): sample, count faces and
+    test every link in one clique pass, count what pruning removes."""
+    g = sample_graph(params)
+    face_counts, fraction, bad = clique_census(g, params.d)
     bounds = independence_bound_report(g, params)
     return {
         "n": params.n,
@@ -198,7 +221,7 @@ def run_experiment(params: RandomCliqueParams) -> dict:
         "d": params.d,
         "seed": params.seed,
         "edge_count": g.edge_count,
-        "face_counts": cc.face_counts(),
+        "face_counts": face_counts,
         "forest_fraction": fraction,
         "removed": len(bad),
         "surviving_vertices": g.n - len(bad),

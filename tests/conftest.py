@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -373,6 +374,47 @@ def expected_forest_fraction(n: int, alpha: float) -> float:
             continue
         total += weight * gnp_forest_probability(m, p)
     return total
+
+
+def sample_gnp_edges_bisect(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    """Oracle for randomclique.sample_gnp_edges: the same geometric jumps over
+    the pair index, with the row of every pair found by bisection."""
+    if n < 2 or p <= 0.0:
+        return []
+    if p >= 1.0:
+        return list(itertools.combinations(range(n), 2))
+    edges = []
+    total = n * (n - 1) // 2
+    logq = math.log1p(-p)
+    k = -1
+    while True:
+        r = rng.random()
+        gap = int(math.log(1.0 - r) / logq) + 1 if r > 0.0 else 1
+        k += gap
+        if k >= total:
+            break
+        lo, hi = 0, n - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (mid + 1) * n - (mid + 1) * (mid + 2) // 2 <= k:
+                lo = mid + 1
+            else:
+                hi = mid
+        i = lo
+        j = k - (i * n - i * (i + 1) // 2) + i + 1
+        edges.append((i, j))
+    return edges
+
+
+def clique_census_scan(g: Graph, d: int) -> tuple[dict[int, int], float, set[int]]:
+    """Oracle for randomclique.clique_census: store every face of the
+    truncated complex, then test each (d-3)-face's link on its own by a
+    union-find over its common neighbourhood."""
+    cc = TruncatedCliqueComplex(g, d)
+    faces = cc.faces(d - 2)
+    bad = [f for f in faces if not _link_graph_acyclic(g, f)]
+    fraction = (len(faces) - len(bad)) / len(faces) if faces else 1.0
+    return cc.face_counts(), fraction, set().union(*bad)
 
 
 def prune_bad_links_fixpoint(cc: TruncatedCliqueComplex) -> tuple[TruncatedCliqueComplex, int]:

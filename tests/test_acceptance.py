@@ -15,6 +15,7 @@ import pytest
 from flagsphere import (
     Graph,
     PeelParams,
+    TruncatedCliqueComplex,
     cd_constant,
     certify_lower_bound,
     chromatic_number_exact,
@@ -28,7 +29,6 @@ from flagsphere import (
     mycielskian,
     peel_color_3,
     prune_bad_links,
-    sample_clique_complex,
     subdivide_edge,
     triangle_free_process,
     verify_closed_3_manifold,
@@ -39,7 +39,7 @@ from flagsphere.coloring import check_proper_on_complex, peel_color_bound
 from flagsphere.cyclic import empty_triangle_count_closed_form
 from flagsphere.errors import PlanarStrategyFailure
 from flagsphere.io import write_graph
-from flagsphere.randomclique import RandomCliqueParams
+from flagsphere.randomclique import RandomCliqueParams, clique_census, sample_graph
 
 from conftest import (
     PROCESS_CASES,
@@ -251,9 +251,10 @@ def pooled_sd(n: int) -> float:
 
 @pytest.fixture(scope="module")
 def clique_runs():
-    """Forest-link fractions for n in {500,1000,2000} x seeds 1..CLIQUE_SEEDS[n].
+    """Forest-link fractions for n in {500,1000,2000} x seeds 1..CLIQUE_SEEDS[n],
+    each from the clique census of the sampled graph.
 
-    Only the complexes of seeds 1..5 are kept, for 7c.
+    Complexes are built only for seeds 1..5, for 7c.
     """
     t0 = time.monotonic()
     fractions: dict[int, dict[int, float]] = {}
@@ -261,11 +262,10 @@ def clique_runs():
     for n, seeds in CLIQUE_SEEDS.items():
         fractions[n] = {}
         for seed in range(1, seeds + 1):
-            params = RandomCliqueParams(n=n, alpha=CLIQUE_ALPHA, d=3, seed=seed)
-            _, cc = sample_clique_complex(params)
-            fractions[n][seed] = forest_link_fraction(cc)
+            g = sample_graph(RandomCliqueParams(n=n, alpha=CLIQUE_ALPHA, d=3, seed=seed))
+            _, fractions[n][seed], _ = clique_census(g, 3)
             if seed <= 5:
-                complexes[(n, seed)] = cc
+                complexes[(n, seed)] = TruncatedCliqueComplex(g, 3)
     return fractions, complexes, time.monotonic() - t0
 
 

@@ -5,6 +5,7 @@ inputs.
 """
 
 import itertools
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,12 +31,15 @@ from flagsphere.complexes import (
 )
 from flagsphere.errors import SolverTimeout
 from flagsphere.graphs import _Budget, _k_colorable, cliques, smallest_last_order
+from flagsphere.randomclique import clique_census, sample_gnp_edges
 
 from conftest import (
+    clique_census_scan,
     flagify_reference,
     k_colorable_reference,
     link_is_2_sphere_reference,
     minimal_nonfaces_bruteforce,
+    sample_gnp_edges_bisect,
     smallest_last_order_reference,
 )
 
@@ -236,3 +240,36 @@ def test_bitset_dsatur_times_out_at_the_same_node(g, cap):
 @given(solver_graphs())
 def test_smallest_last_heap_matches_the_min_scan(g):
     assert smallest_last_order(g) == smallest_last_order_reference(g)
+
+
+@st.composite
+def census_graphs(draw):
+    """A graph on at most 14 vertices whose edge density is drawn too, so
+    links with and without cycles both occur at every d."""
+    n = draw(st.integers(0, 14))
+    density = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    levels = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, level in zip(pairs, levels) if level < density])
+
+
+@fixed
+@given(census_graphs(), st.sampled_from((3, 4, 5)))
+@example(Graph.edgeless(0), 3)
+@example(Graph.edgeless(9), 4)
+@example(Graph.complete(5), 3)
+@example(Graph.complete(9), 5)
+def test_clique_census_matches_the_per_face_scan(g, d):
+    assert clique_census(g, d) == clique_census_scan(g, d)
+
+
+@fixed
+@given(
+    st.integers(0, 80),
+    st.sampled_from((0.0, 1e-3, 0.1, 0.5, 0.999, 1.0)),
+    st.integers(0, 2**32),
+)
+def test_row_walking_sampler_matches_the_bisection(n, p, seed):
+    assert sample_gnp_edges(n, p, random.Random(seed)) == sample_gnp_edges_bisect(
+        n, p, random.Random(seed)
+    )

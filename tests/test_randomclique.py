@@ -234,26 +234,21 @@ class TestExperiment:
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[key]
 
     @pytest.mark.parametrize("key", [(300, 0.55, 3, 1), (200, 0.45, 4, 2)])
-    def test_each_link_tested_once(self, key, monkeypatch):
-        n, alpha, d, seed = key
-        params = RandomCliqueParams(n=n, alpha=alpha, d=d, seed=seed)
-        _, cc = sample_clique_complex(params)
-        tested = Counter()
-        built = []
-        acyclic = randomclique._link_graph_acyclic
+    def test_one_clique_pass_and_no_complex(self, key, monkeypatch):
+        calls = Counter()
 
-        def counting_acyclic(g, face):
-            tested[frozenset(face)] += 1
-            return acyclic(g, face)
+        def counting(name):
+            original = getattr(randomclique, name)
 
-        class CountingComplex(TruncatedCliqueComplex):
-            def __init__(self, graph, d):
-                built.append(graph.n)
-                super().__init__(graph, d)
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(randomclique, "_link_graph_acyclic", counting_acyclic)
-        monkeypatch.setattr(randomclique, "TruncatedCliqueComplex", CountingComplex)
-        run_experiment(params)
-        assert set(tested) == cc.faces(d - 2)
-        assert set(tested.values()) == {1}
-        assert built == [n]
+            monkeypatch.setattr(randomclique, name, wrapped)
+
+        for name in ("TruncatedCliqueComplex", "_link_graph_acyclic", "cliques"):
+            counting(name)
+        report = run_experiment(RandomCliqueParams(*key))
+        assert report["removed"] > 0  # some link has a cycle
+        assert calls["TruncatedCliqueComplex"] == calls["_link_graph_acyclic"] == 0
+        assert calls["cliques"] == 1

@@ -29,6 +29,7 @@ from .errors import (
     SubgraphMissing,
 )
 from .graphs import (
+    EXACT_ALPHA_LIMIT,
     ChromaticResult,
     Coloring,
     Graph,
@@ -196,17 +197,10 @@ def peel_color_unchecked(X: SimplicialComplex, params: PeelParams) -> Coloring:
         v = max(live, key=lambda u: (len(live[u]), -u))
         if len(live[v]) <= threshold:
             break
-        patch = sorted(live[v])
-        index = {u: i for i, u in enumerate(patch)}
-        patch_edges = [
-            (index[a], index[b])
-            for i, a in enumerate(patch)
-            for b in patch[i + 1 :]
-            if b in live[a]
-        ]
-        patch_coloring = _color_planar_patch(Graph(len(patch), patch_edges), params)
-        for u in patch:
-            assignment[u] = next_color + patch_coloring.assignment[index[u]]
+        patch_graph, patch = Graph.induced(live.__getitem__, live[v])
+        patch_coloring = _color_planar_patch(patch_graph, params)
+        for i, u in enumerate(patch):
+            assignment[u] = next_color + patch_coloring.assignment[i]
         next_color += patch_coloring.color_count
         for u in patch:
             for nb in live[u]:
@@ -214,17 +208,10 @@ def peel_color_unchecked(X: SimplicialComplex, params: PeelParams) -> Coloring:
             del live[u]
 
     # residual: degeneracy-order greedy on what is left
-    residual = sorted(live)
-    index = {u: i for i, u in enumerate(residual)}
-    residual_edges = [
-        (index[a], index[b])
-        for i, a in enumerate(residual)
-        for b in residual[i + 1 :]
-        if b in live[a]
-    ]
-    res_coloring = greedy_degeneracy_color(Graph(len(residual), residual_edges))
-    for u in residual:
-        assignment[u] = next_color + res_coloring.assignment[index[u]]
+    residual_graph, residual = Graph.induced(live.__getitem__, live)
+    res_coloring = greedy_degeneracy_color(residual_graph)
+    for i, u in enumerate(residual):
+        assignment[u] = next_color + res_coloring.assignment[i]
     return Coloring.from_assignment(assignment)
 
 
@@ -305,26 +292,15 @@ class AlphaReport:
         }
 
 
-def skeleton_graph(X: SimplicialComplex) -> tuple[Graph, list[int]]:
-    """1-skeleton as a Graph on 0..k-1 plus the id list mapping back."""
-    verts = list(X.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[u], index[v]) for u, v in X.edges()]
-    return Graph(len(verts), edges), verts
-
-
 def measure_alpha(
-    X: SimplicialComplex,
-    seed: int,
-    exact_limit: int = 60,
-    node_budget: int = 20_000_000,
+    X: SimplicialComplex, seed: int, node_budget: int = 20_000_000
 ) -> AlphaReport:
     """Greedy lower bound on the independence number, exact value when the
     skeleton is small, and the conjectured ceil((f0+1)/6) reference."""
-    g, _ = skeleton_graph(X)
+    g, _ = Graph.induced(X.neighbors, X.vertices)
     greedy = greedy_independent_set(g, seed)
     exact: int | None = None
-    if g.n <= exact_limit:
+    if g.n <= EXACT_ALPHA_LIMIT:
         try:
             exact = len(max_independent_set_exact(g, node_budget=node_budget))
         except SolverTimeout:

@@ -4,7 +4,8 @@ Provides the embedded-graph side of the pipeline: Mycielski towers with
 certified chromatic number, the seeded triangle-free process for larger
 inputs, and exact chromatic / independence solvers (DSATUR branch and
 bound, bitset branch and bound) with explored-node budgets so runs are
-reproducible.
+reproducible. `Graph` keeps each edge once, in adjacency sets, and
+`Graph.induced` is the one way to relabel a vertex subset to 0..k-1.
 """
 
 from __future__ import annotations
@@ -16,37 +17,54 @@ from dataclasses import dataclass
 
 from .errors import SolverTimeout
 
+# largest vertex count whose independence number the reports solve exactly
+EXACT_ALPHA_LIMIT = 60
+
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "_edges", "_adj")
+    Each edge is stored once, as a pair of entries in the adjacency sets.
+    """
+
+    __slots__ = ("n", "edge_count", "_adj")
 
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         self.n = vertex_count
-        canon = set()
+        adj: list[set[int]] = [set() for _ in range(vertex_count)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={vertex_count}")
-            canon.add((u, v) if u < v else (v, u))
-        self._edges = frozenset(canon)
-        adj: list[set[int]] = [set() for _ in range(vertex_count)]
-        for u, v in canon:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = adj
+        self.edge_count = sum(map(len, adj)) // 2
+
+    @classmethod
+    def induced(cls, neighbors, vertices) -> tuple["Graph", list[int]]:
+        """The subgraph induced on the distinct `vertices`, relabelled 0..k-1 in
+        sorted order, and that sorted list, which maps the labels back.
+
+        `neighbors(v)` returns the neighbour set of v. Each set is read once
+        and a pair is an edge when the larger vertex is in the smaller one's
+        set, so the cost is O(sum of degrees), not O(k^2).
+        """
+        order = sorted(vertices)
+        index = {v: i for i, v in enumerate(order)}
+        edges = [
+            (i, index[u]) for i, v in enumerate(order) for u in neighbors(v) if u > v and u in index
+        ]
+        return cls(len(order), edges), order
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge as (u, v) with u < v, in sorted order; the list is built
+        afresh from the adjacency on each call."""
+        return [(u, v) for u, nbrs in enumerate(self._adj) for v in sorted(nbrs) if u < v]
 
     def neighbors(self, v: int) -> set[int]:
         return self._adj[v]
@@ -63,10 +81,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.n, self._edges))
+        return hash((self.n, self.edge_count))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -162,7 +180,7 @@ def mycielskian(g: Graph) -> Graph:
     to i's neighbors), vertex 2n is the apex joined to all shadows.
     """
     n = g.n
-    edges = list(g.edges)
+    edges = g.edges
     for i in range(n):
         for j in g.neighbors(i):
             edges.append((n + i, j))
@@ -355,10 +373,7 @@ def max_independent_set_exact(g: Graph, node_budget: int = 50_000_000) -> set[in
     n = g.n
     if n == 0:
         return set()
-    nbr = [0] * n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
     budget = _Budget(node_budget)
 
     # deterministic greedy start for the bound

@@ -103,7 +103,7 @@ def read_complex(path: str | Path) -> SimplicialComplex:
 def write_graph(g: Graph, path: str | Path) -> None:
     lines = ["# flagsphere graph: 'n m' then one edge per line"]
     lines.append(f"{g.n} {g.edge_count}")
-    for u, v in sorted(g.edges):
+    for u, v in g.edges:
         lines.append(f"{u} {v}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

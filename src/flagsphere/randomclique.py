@@ -15,7 +15,13 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidAlpha, SolverTimeout, TooSmall
-from .graphs import Graph, cliques, greedy_independent_set, max_independent_set_exact
+from .graphs import (
+    EXACT_ALPHA_LIMIT,
+    Graph,
+    cliques,
+    greedy_independent_set,
+    max_independent_set_exact,
+)
 
 
 @dataclass(frozen=True)
@@ -180,19 +186,15 @@ def prune_bad_links(cc: TruncatedCliqueComplex) -> tuple[TruncatedCliqueComplex,
     """
     _, _, bad = clique_census(cc.graph, cc.d)
     keep = [v for v in range(cc.graph.n) if v not in bad]
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in cc.graph.edges if u in index and v in index]
-    return TruncatedCliqueComplex(Graph(len(keep), edges), cc.d), len(bad)
+    return TruncatedCliqueComplex(Graph.induced(cc.graph.neighbors, keep)[0], cc.d), len(bad)
 
 
-def independence_bound_report(
-    g: Graph, params: RandomCliqueParams, exact_limit: int = 60
-) -> dict:
+def independence_bound_report(g: Graph, params: RandomCliqueParams) -> dict:
     """Greedy (and small-case exact) independence numbers with the
     first-moment reference curve n^alpha * ln n and the measured ratio."""
     greedy = greedy_independent_set(g, params.seed)
     exact: int | None = None
-    if g.n <= exact_limit:
+    if g.n <= EXACT_ALPHA_LIMIT:
         try:
             exact = len(max_independent_set_exact(g))
         except SolverTimeout:

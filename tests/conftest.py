@@ -264,6 +264,20 @@ def smallest_last_order_reference(g: Graph) -> list[tuple[int, int]]:
     return order
 
 
+def induced_subgraph_reference(neighbors, vertices) -> tuple[Graph, list[int]]:
+    """Oracle for Graph.induced: the pair scan the peel once ran for each
+    patch and the residual, which tests every pair of the sorted vertices."""
+    order = sorted(vertices)
+    index = {u: i for i, u in enumerate(order)}
+    edges = [
+        (index[a], index[b])
+        for i, a in enumerate(order)
+        for b in order[i + 1 :]
+        if b in neighbors(a)
+    ]
+    return Graph(len(order), edges), order
+
+
 def is_planar(g: Graph) -> bool:
     """Oracle for planarity: networkx's left-right planarity test."""
     import networkx as nx

@@ -26,7 +26,6 @@ from flagsphere.coloring import (
     palette_term,
     peel_color_bound,
     revalidate_certificate,
-    skeleton_graph,
 )
 from flagsphere.errors import (
     BadDimension,
@@ -236,6 +235,11 @@ class TestCertify:
         with pytest.raises(SubgraphMissing):
             certify_lower_bound(X, Graph(3, [(0, 2)]), 2)  # antipodal non-edge
 
+    def test_subgraph_missing_names_the_lexicographically_first_edge(self):
+        g = Graph(8, [(5, 7), (4, 6), (1, 3)])  # three antipodal non-edges
+        with pytest.raises(SubgraphMissing, match=r"edge \(1, 3\)"):
+            certify_lower_bound(sixteen_cell(), g, 2)
+
     def test_certification_failed_when_colorable(self):
         X, _, _ = flagify(Graph.cycle(5), 6)
         with pytest.raises(CertificationFailed):
@@ -262,7 +266,7 @@ class TestMeasureAlpha:
 
     def test_skeleton_graph_roundtrip(self):
         X = sixteen_cell()
-        g, verts = skeleton_graph(X)
+        g, verts = Graph.induced(X.neighbors, X.vertices)
         assert g.n == 8 and verts == list(range(8))
         assert g.edge_count == len(X.edges())
 

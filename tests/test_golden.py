@@ -4,7 +4,9 @@ colorings are pinned.
 The flagify SHA-256 values were computed with the snapshot-per-round
 flagify kernel that preceded the indexed builder, before that kernel
 changed. The certify and coloring values were computed with the set-based
-DSATUR search and the min-scan smallest-last order, before either changed.
+DSATUR search and the min-scan smallest-last order, before either changed;
+the M7 coloring value with the heap order, before the peel built its patch
+and residual graphs with `Graph.induced`.
 Any change to the selection order, the repair rule, vertex numbering, the
 solver's search order or the file formats shows up here. Never regenerate
 them to make a change pass.
@@ -65,6 +67,7 @@ CERTIFY_GOLDEN = {
 COLORING_GOLDEN = {
     "M5": "d959608d7027d7000b3a04613c881821f2b1d33d78e89f94fe5f11b41e44a4eb",
     "M6": "16e50a43cc5ba5950c91ca62d46f9e1d89e45e08018c64b6aec8ca3d90a0377e",
+    "M7": "2725dcda40135038815c8c1483cbcb51f5bc9c8b1509c9bcc0dc9111bd04c080",
     "process-17-8": "735eaef69ddf61df30bdb865e3e98e3bca37d7fcad5a348630125a3759bac461",
     "process-18-9": "ca9213bbdc9ecc57c46d7cf30bbffa6fa57bc556c29819d0a3f2a999131d7b6c",
     "process-20-10": "21aa0c4debd1f2780ac070a246520c55c006ffd7a37276b78bfd59e9043ebf5c",
@@ -80,6 +83,8 @@ def _graph(label: str) -> Graph:
         return mycielskian(grotzsch_graph())
     if label == "M6":
         return mycielskian(mycielskian(grotzsch_graph()))
+    if label == "M7":
+        return mycielskian(mycielskian(mycielskian(grotzsch_graph())))
     _, n, seed = label.split("-")
     return triangle_free_process(int(n), int(seed))
 
@@ -119,8 +124,8 @@ def test_certify_report_matches_the_golden_hash(label, n, k, tmp_path):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CERTIFY_GOLDEN[label]
 
 
-COLORING_CASES = [("M5", 23), ("M6", 47), ("process-17-8", 17), ("process-18-9", 18),
-                  ("process-20-10", 20)]
+COLORING_CASES = [("M5", 23), ("M6", 47), ("M7", 95), ("process-17-8", 17),
+                  ("process-18-9", 18), ("process-20-10", 20)]
 
 
 @pytest.mark.parametrize("label,n", COLORING_CASES, ids=[label for label, _ in COLORING_CASES])

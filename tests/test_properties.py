@@ -36,6 +36,7 @@ from flagsphere.randomclique import clique_census, sample_gnp_edges
 from conftest import (
     clique_census_scan,
     flagify_reference,
+    induced_subgraph_reference,
     k_colorable_reference,
     link_is_2_sphere_reference,
     minimal_nonfaces_bruteforce,
@@ -161,6 +162,51 @@ def _indexes_from_facets(facets):
             star.setdefault(v, set()).add(facet)
             adj.setdefault(v, set()).update(facet - {v})
     return star, adj
+
+
+@st.composite
+def induced_cases(draw):
+    """Adjacency with arbitrary ids and an empty, full or random vertex subset,
+    listed in a drawn order."""
+    adj = draw(small_graphs())
+    vertices = sorted(adj)
+    chosen = draw(st.lists(st.booleans(), min_size=len(vertices), max_size=len(vertices)))
+    subset = draw(st.sampled_from(
+        ([], vertices, [v for v, keep in zip(vertices, chosen) if keep])
+    ))
+    return adj, draw(st.permutations(subset))
+
+
+@fixed
+@given(induced_cases())
+def test_induced_subgraph_matches_the_pair_scan(case):
+    adj, vertices = case
+    assert Graph.induced(adj.__getitem__, vertices) == induced_subgraph_reference(
+        adj.__getitem__, vertices
+    )
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and an edge list that may repeat and reverse pairs."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pair, max_size=40))
+
+
+@fixed
+@given(edge_lists())
+def test_graph_keeps_each_edge_once_in_sorted_order(case):
+    n, edge_list = case
+    g = Graph(n, edge_list)
+    assert g.edges == sorted({(min(e), max(e)) for e in edge_list})
+    assert g.edge_count == len(g.edges)
+    assert Graph(g.n, g.edges) == g
+    twice = Graph(n, [(v, u) for u, v in edge_list] + edge_list)
+    assert twice == g and hash(twice) == hash(g)
+    assert Graph(n + 1, edge_list) != g
 
 
 @fixed

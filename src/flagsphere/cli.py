@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .complexes import empty_triangles_of, f_vector, is_flag, replay, verify_closed_3_manifold
 # not called here; imported so perfbench/run.py can trace this call site
@@ -39,6 +39,8 @@ from .randomclique import RandomCliqueParams, run_experiment
 
 @dataclass(frozen=True)
 class StatsReport:
+    """The verify report; its JSON is dataclasses.asdict of it."""
+
     f_vector: tuple[int, ...]
     euler: int
     is_flag: bool
@@ -50,21 +52,6 @@ class StatsReport:
     alpha_lower: int
     alpha_exact: int | None
     conjecture_value: int
-
-    def as_dict(self) -> dict:
-        return {
-            "f_vector": list(self.f_vector),
-            "euler": self.euler,
-            "is_flag": self.is_flag,
-            "manifold_checks": self.manifold_checks,
-            "empty_triangle_count": self.empty_triangle_count,
-            "subdivision_count": self.subdivision_count,
-            "chromatic_upper": self.chromatic_upper,
-            "chromatic_lower": self.chromatic_lower,
-            "alpha_lower": self.alpha_lower,
-            "alpha_exact": self.alpha_exact,
-            "conjecture_value": self.conjecture_value,
-        }
 
 
 def _emit(payload: dict) -> None:
@@ -98,7 +85,7 @@ def cmd_verify(args) -> int:
     X = read_complex(args.infile)
     checks = verify_closed_3_manifold(X)
     flag = is_flag(X)
-    empty_tris = len(empty_triangles_of(X))
+    empty_tris = 0 if flag else len(empty_triangles_of(X))  # flag: no empty triangle
     chromatic_upper: int | None = None
     if flag and checks.passed:
         params = PeelParams(x=args.x, planar_strategy=args.strategy, exact4_cap=args.cap)
@@ -118,7 +105,7 @@ def cmd_verify(args) -> int:
         alpha_exact=alpha.exact_size,
         conjecture_value=alpha.conjecture_value,
     )
-    _emit(report.as_dict())
+    _emit(asdict(report))
     return 0
 
 

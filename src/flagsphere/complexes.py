@@ -11,6 +11,7 @@ star index, which is frozen into a new complex once at the end.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -164,10 +165,12 @@ def _derive_adjacency(facets: frozenset[frozenset[int]]) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {}
     for facet in facets:
         for v in facet:
-            adj.setdefault(v, set())
-        for u, v in itertools.combinations(facet, 2):
-            adj[u].add(v)
-            adj[v].add(u)
+            if v in adj:
+                adj[v].update(facet)
+            else:
+                adj[v] = set(facet)
+    for v, nbrs in adj.items():
+        nbrs.discard(v)  # a vertex's neighbours are its facets' vertices but itself
     return adj
 
 
@@ -444,42 +447,39 @@ def _connected(vertices, adj) -> bool:
     return len(seen) == len(verts)
 
 
-def _facet_incidence(
-    X: SimplicialComplex,
-) -> tuple[dict[frozenset[int], int], dict[int, frozenset[frozenset[int]]]]:
-    """One pass over the facets: how many facets contain each ridge, and each
-    vertex's star as its facet residues (the facets of its link).
-
-    The residues facet - {v} are exactly the ridges of the facet.
-    """
-    ridge_count: dict[frozenset[int], int] = {}
-    star: dict[int, list[frozenset[int]]] = {v: [] for v in X.vertices}
+def _facet_incidence(X: SimplicialComplex) -> tuple[Counter, dict[int, list[tuple[int, ...]]]]:
+    """One pass over the facets of a 3-complex, each sorted once: how many
+    facets contain each ridge, and each vertex's star as its facet residues
+    facet - {v} (the triangles of its link), which are the facet's ridges."""
+    star: dict[int, list[tuple[int, ...]]] = {v: [] for v in X.vertices}
+    ridges = []
     for facet in X.facets:
-        for v in facet:
-            residue = facet - {v}
-            ridge_count[residue] = ridge_count.get(residue, 0) + 1
+        a, b, c, d = sorted(facet)
+        for v, residue in ((a, (b, c, d)), (b, (a, c, d)), (c, (a, b, d)), (d, (a, b, c))):
             star[v].append(residue)
-    return ridge_count, {v: frozenset(residues) for v, residues in star.items()}
+            ridges.append(residue)
+    return Counter(ridges), star
 
 
-def _link_is_2_sphere(triangles) -> bool:
-    """Is this set of triangles a closed connected surface with euler 2?
-
-    Each residue t - {u} is the edge of t opposite u and holds u's two
-    neighbours in t, so one pass counts the edges and builds the adjacency.
-    """
-    edge_count: dict[frozenset[int], int] = {}
-    adj: dict[int, set[int]] = {}
-    for t in triangles:
-        for u in t:
-            e = t - {u}
-            edge_count[e] = edge_count.get(e, 0) + 1
-            adj.setdefault(u, set()).update(e)
-    return (
-        all(c == 2 for c in edge_count.values())
-        and _connected(adj, adj)
-        and len(adj) - len(edge_count) + len(triangles) == 2
-    )
+def _link_is_2_sphere(neighbors: set[int], triangles) -> bool:
+    """Is the link with these vertices and triangles connected with euler
+    characteristic 2? Only for a complex whose ridges each lie in two facets:
+    then each link edge lies in two triangles, so the link has 3F/2 edges.
+    Each pass of the walk absorbs the triangles that meet the component."""
+    faces = len(triangles)
+    if len(neighbors) - 3 * faces // 2 + faces != 2:
+        return False
+    component, rest = set(triangles[0]), triangles
+    while True:
+        left = []
+        for t in rest:
+            if component.isdisjoint(t):
+                left.append(t)
+            else:
+                component.update(t)
+        if len(left) in (0, len(rest)):
+            return len(component) == len(neighbors)
+        rest = left
 
 
 def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
@@ -491,16 +491,18 @@ def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
     """
     if X.dimension != 3:
         raise WrongDimension(f"expected a pure 3-complex, got dimension {X.dimension}")
-    triangle_count, star = _facet_incidence(X)
-    two_faces_ok = all(c == 2 for c in triangle_count.values())
+    ridge_count, star = _facet_incidence(X)
+    two_faces_ok = all(c == 2 for c in ridge_count.values())
     connected = _connected(X.vertices, X._adj)
-    links_ok = all(_link_is_2_sphere(residues) for residues in star.values())
-    euler_zero = f_vector(X).euler == 0
+    # a ridge in k != 2 facets is an edge in k triangles of its vertices' links
+    links_ok = two_faces_ok and all(_link_is_2_sphere(X._adj[v], star[v]) for v in star)
+    edge_count = sum(len(nbrs) for nbrs in X._adj.values()) // 2
+    euler = X.vertex_count - edge_count + len(ridge_count) - X.facet_count
     return VerificationReport(
         two_faces_in_two_facets=two_faces_ok,
         connected=connected,
         vertex_links_are_2_spheres=links_ok,
-        euler_zero=euler_zero,
+        euler_zero=euler == 0,
     )
 
 

@@ -67,10 +67,14 @@ def read_complex(path: str | Path) -> SimplicialComplex:
                 facets.append([int(p) for p in parts])
             except ValueError as exc:
                 raise ParseError(f"bad facet line {line!r}") from exc
+            if len(set(facets[-1])) != len(parts):
+                raise ParseError(f"facet line {line!r} repeats a vertex")
         else:
             try:
                 vid = int(parts[0])
                 kind = parts[1]
+                if vid in tags:
+                    raise ParseError(f"vertex {vid} tagged twice")
                 if kind == "original" and len(parts) == 3:
                     tags[vid] = OriginalTag(position=int(parts[2]))
                 elif kind == "subdiv" and len(parts) == 5:

@@ -23,7 +23,8 @@ from flagsphere import (
     mycielskian,
     subdivide_edge,
 )
-from flagsphere.complexes import _connected, _facet_incidence
+from flagsphere.complexes import VerificationReport, _connected
+from flagsphere.errors import WrongDimension
 from flagsphere.randomclique import _link_graph_acyclic
 
 
@@ -103,6 +104,80 @@ def minimal_nonfaces_bruteforce(X, max_size: int) -> set[frozenset[int]]:
     return out
 
 
+def derive_adjacency_reference(facets: frozenset[frozenset[int]]) -> dict[int, set[int]]:
+    """Oracle for complexes._derive_adjacency: one add per ordered vertex pair
+    of each facet."""
+    adj: dict[int, set[int]] = {}
+    for facet in facets:
+        for v in facet:
+            adj.setdefault(v, set())
+        for u, v in itertools.combinations(facet, 2):
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def facet_incidence_reference(
+    X: SimplicialComplex,
+) -> tuple[dict[frozenset[int], int], dict[int, frozenset[frozenset[int]]]]:
+    """One pass over the facets: how many facets contain each ridge, and each
+    vertex's star as its facet residues (the facets of its link).
+
+    The residues facet - {v} are exactly the ridges of the facet.
+    """
+    ridge_count: dict[frozenset[int], int] = {}
+    star: dict[int, list[frozenset[int]]] = {v: [] for v in X.vertices}
+    for facet in X.facets:
+        for v in facet:
+            residue = facet - {v}
+            ridge_count[residue] = ridge_count.get(residue, 0) + 1
+            star[v].append(residue)
+    return ridge_count, {v: frozenset(residues) for v, residues in star.items()}
+
+
+def link_check_reference(triangles) -> bool:
+    """Is this set of triangles a closed connected surface with euler 2?
+
+    Each residue t - {u} is the edge of t opposite u and holds u's two
+    neighbours in t, so one pass counts the edges and builds the adjacency.
+    """
+    edge_count: dict[frozenset[int], int] = {}
+    adj: dict[int, set[int]] = {}
+    for t in triangles:
+        for u in t:
+            e = t - {u}
+            edge_count[e] = edge_count.get(e, 0) + 1
+            adj.setdefault(u, set()).update(e)
+    return (
+        all(c == 2 for c in edge_count.values())
+        and _connected(adj, adj)
+        and len(adj) - len(edge_count) + len(triangles) == 2
+    )
+
+
+def verify_closed_3_manifold_reference(X: SimplicialComplex) -> VerificationReport:
+    """Oracle for verify_closed_3_manifold: every vertex link built as a set
+    of frozenset triangles and checked on its own, and the euler
+    characteristic read from the f-vector.
+
+    (a) every 2-face lies in exactly two facets, (b) the complex is
+    connected, (c) every vertex link is a closed connected surface with
+    euler characteristic 2, (d) euler(X) = 0.
+    """
+    if X.dimension != 3:
+        raise WrongDimension(f"expected a pure 3-complex, got dimension {X.dimension}")
+    triangle_count, star = facet_incidence_reference(X)
+    two_faces_ok = all(c == 2 for c in triangle_count.values())
+    connected = _connected(X.vertices, X._adj)
+    links_ok = all(link_check_reference(residues) for residues in star.values())
+    euler_zero = f_vector(X).euler == 0
+    return VerificationReport(
+        two_faces_in_two_facets=two_faces_ok,
+        connected=connected,
+        vertex_links_are_2_spheres=links_ok,
+        euler_zero=euler_zero,
+    )
+
 def link_is_2_sphere_reference(triangles) -> bool:
     """Oracle for the manifold link check: build the link as a complex, then
     test its ridge counts, its connectivity and the Euler characteristic of
@@ -112,7 +187,7 @@ def link_is_2_sphere_reference(triangles) -> bool:
     )
     if lk.is_empty or lk.dimension != 2:
         return False
-    ridge_count, _ = _facet_incidence(lk)
+    ridge_count, _ = facet_incidence_reference(lk)
     if any(c != 2 for c in ridge_count.values()):
         return False
     if not _connected(lk.vertices, lk._adj):

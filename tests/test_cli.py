@@ -120,6 +120,24 @@ def test_color_rejects_nonflag(tmp_path, capsys):
     assert "NotFlag" in err
 
 
+
+@pytest.mark.parametrize(
+    "facets,error",
+    [
+        # the triangle boundary: a 1-complex whose 3-clique is not a face
+        ([(0, 1), (1, 2), (0, 2)], "NotFlag"),
+        # the octahedron boundary: a flag 2-sphere
+        ([(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)], "WrongDimension"),
+    ],
+    ids=["triangle-boundary", "octahedron-boundary"],
+)
+def test_color_checks_flagness_before_dimension(tmp_path, capsys, facets, error):
+    path = tmp_path / "low.txt"
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+    code, _, err = run(capsys, "color", "--in", str(path))
+    assert code == 1
+    assert err.startswith(error + ":")
+
 def test_certify_command(tmp_path, capsys):
     g = grotzsch_graph()
     gfile = tmp_path / "g.txt"

@@ -1,12 +1,14 @@
-"""Golden hashes: flagify complex and trace bytes, certify reports and peel
-colorings are pinned.
+"""Golden hashes: flagify complex and trace bytes, certify and verify reports
+and peel colorings are pinned.
 
 The flagify SHA-256 values were computed with the snapshot-per-round
 flagify kernel that preceded the indexed builder, before that kernel
 changed. The certify and coloring values were computed with the set-based
 DSATUR search and the min-scan smallest-last order, before either changed;
 the M7 coloring value with the heap order, before the peel built its patch
-and residual graphs with `Graph.induced`.
+and residual graphs with `Graph.induced`. The `verify` stdout values were
+computed with the frozenset-per-link manifold check and the empty-triangle
+scan on every input, before the one-pass check replaced them.
 Any change to the selection order, the repair rule, vertex numbering, the
 solver's search order or the file formats shows up here. Never regenerate
 them to make a change pass.
@@ -18,7 +20,8 @@ import io
 
 import pytest
 
-from flagsphere import Graph, cyclic_4_sphere, flagify, grotzsch_graph, mycielskian, replay
+from flagsphere import Graph, build_from_facets, cyclic_4_sphere, flagify, grotzsch_graph
+from flagsphere import mycielskian, replay
 from flagsphere import chromatic_number_exact, peel_color_3, triangle_free_process
 from flagsphere.cli import main
 from flagsphere.io import write_coloring, write_complex, write_graph, write_trace
@@ -138,3 +141,46 @@ def test_peel_coloring_bytes_match_the_golden_hash(label, n, tmp_path):
 def test_m6_exceedance_search_node_count():
     m6 = _graph("M6")
     assert chromatic_number_exact(m6, limit=5).nodes == 450198
+
+
+def _sixteen_cell_facets():
+    sq1 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    sq2 = [(4, 5), (5, 6), (6, 7), (7, 4)]
+    return [sorted(set(a) | set(b)) for a in sq1 for b in sq2]
+
+
+def _verify_input(label: str):
+    """The complex a verify pin reads: a flagified sphere or a failing input."""
+    if label == "cyclic-7":
+        return cyclic_4_sphere(7).complex  # not flag
+    if label == "two-16-cells":
+        facets = _sixteen_cell_facets()
+        return build_from_facets(facets + [[v + 8 for v in f] for f in facets])
+    if label == "16-cell-minus-facet":
+        return build_from_facets(_sixteen_cell_facets()[1:])  # ridges in one facet
+    n = dict(COLORING_CASES)[label]
+    X, _, _ = flagify(_graph(label), n)
+    return X
+
+
+# label: sha256 of the `verify --seed 1` stdout
+VERIFY_GOLDEN = {
+    "M5": "9eb125495a23e1eb53aa0b98a01aedf92e381c8a83cb0663fe28272a4fdecceb",
+    "M6": "b3d74cfb51cc143c74afcca6989dfcc26f334169b077a715cde28304227b143c",
+    "process-17-8": "71d901327f982d94d7a8a7496abf5b9b105a1d67913ef07edfee2cf9866431f3",
+    "process-18-9": "71c9d89ddfccf99180453d1fb0dca0b14c533d02879650ed48a8cd2f308dbbc6",
+    "process-20-10": "03eb1b9f5b19128eefc22c4830d940a668df0b1f3902eed503ffc5cfeab9fa34",
+    "cyclic-7": "f0bbd5f619d1fdc95f120f321e2d069abf89ddef66b4b2e8ecfb87628b79304f",
+    "two-16-cells": "dcf12b03cd9af91a74b973c5f43638e11bcb1a4ece10c574a774cf0f7c62fec4",
+    "16-cell-minus-facet": "24245a30bf78d4a9e5db295cd0bef1447d037727efc3de304369ae7ab92fd677",
+}
+
+
+@pytest.mark.parametrize("label", list(VERIFY_GOLDEN))
+def test_verify_report_matches_the_golden_hash(label, tmp_path):
+    write_complex(_verify_input(label), tmp_path / "complex.txt")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--in", str(tmp_path / "complex.txt"), "--seed", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VERIFY_GOLDEN[label]

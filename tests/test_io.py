@@ -52,6 +52,21 @@ def test_complex_incomplete_tags_rejected(tmp_path):
         read_complex(path)
 
 
+
+def test_complex_facet_with_a_repeated_vertex_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 1 2 3\n0 1 2 4 4\n")
+    with pytest.raises(ParseError, match="repeats a vertex"):
+        read_complex(path)
+
+
+def test_complex_vertex_tagged_twice_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    tags = "".join(f"{v} original {v + 1}\n" for v in range(4))
+    path.write_text(f"0 1 2 3\n1 2 3 4\ntags:\n{tags}4 original 5\n4 original 9\n")
+    with pytest.raises(ParseError, match="tagged twice"):
+        read_complex(path)
+
 def test_complex_garbage_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 two\n")

@@ -4,8 +4,14 @@ Examples are derandomized with a fixed count, so every run checks the same
 inputs.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,25 +29,33 @@ from flagsphere import (
     subdivide_edge,
     triangle_free_process,
 )
+from flagsphere.cli import main
 from flagsphere.complexes import (
-    _facet_incidence,
+    _derive_adjacency,
     _faces_by_size,
+    _facet_incidence,
     _link_is_2_sphere,
     empty_triangles_of,
+    verify_closed_3_manifold,
 )
 from flagsphere.errors import SolverTimeout
 from flagsphere.graphs import _Budget, _k_colorable, cliques, smallest_last_order
+from flagsphere.io import write_complex
 from flagsphere.randomclique import clique_census, sample_gnp_edges
 
 from conftest import (
     clique_census_scan,
+    derive_adjacency_reference,
+    facet_incidence_reference,
     flagify_reference,
     induced_subgraph_reference,
     k_colorable_reference,
+    link_check_reference,
     link_is_2_sphere_reference,
     minimal_nonfaces_bruteforce,
     sample_gnp_edges_bisect,
     smallest_last_order_reference,
+    verify_closed_3_manifold_reference,
 )
 
 fixed = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -75,10 +89,14 @@ def test_nonfaces_flagness_and_empty_triangles_match_the_oracle(X):
 @fixed
 @given(subdivided_spheres())
 def test_star_residues_are_the_vertex_links(X):
-    _, star = _facet_incidence(X)
+    ridge_count, star = _facet_incidence(X)
+    ridge_oracle, star_oracle = facet_incidence_reference(X)
+    assert {frozenset(r): c for r, c in ridge_count.items()} == ridge_oracle
+    assert all(list(r) == sorted(r) for r in ridge_count)
     assert set(star) == set(X.vertices)
     for v in X.vertices:
-        assert star[v] == link(X, (v,)).facets
+        assert len(star[v]) == len(star_oracle[v])
+        assert {frozenset(t) for t in star[v]} == star_oracle[v] == link(X, (v,)).facets
 
 
 @st.composite
@@ -89,7 +107,7 @@ def triangle_sets(draw):
         pool = [frozenset(t) for t in itertools.combinations(range(7), 3)]
         return frozenset(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14)))
     X = draw(subdivided_spheres())
-    _, star = _facet_incidence(X)
+    _, star = facet_incidence_reference(X)
     triangles = set(star[draw(st.sampled_from(X.vertices))])
     for _ in range(draw(st.integers(0, 2))):
         t = frozenset(draw(st.sets(st.sampled_from(X.vertices), min_size=3, max_size=3)))
@@ -113,7 +131,62 @@ SPHERE_AND_TORUS = frozenset(
 @given(triangle_sets())
 @example(SPHERE_AND_TORUS)
 def test_link_sphere_check_matches_the_complex_oracle(triangles):
-    assert _link_is_2_sphere(triangles) == link_is_2_sphere_reference(triangles)
+    expected = link_is_2_sphere_reference(triangles)
+    assert link_check_reference(triangles) == expected
+    edge_count = Counter(frozenset(e) for t in triangles for e in itertools.combinations(t, 2))
+    if all(c == 2 for c in edge_count.values()):
+        # the only triangle sets the manifold check hands to the link check
+        assert _link_is_2_sphere(set().union(*triangles), list(triangles)) == expected
+    else:
+        assert not expected
+
+
+# the suspension of SPHERE_AND_TORUS: every ridge lies in two facets and
+# every link of a surface vertex is a 2-sphere, but each apex link is
+# disconnected
+SUSPENDED_SPHERE_AND_TORUS = build_from_facets(
+    [t | {apex} for t in SPHERE_AND_TORUS for apex in (11, 12)]
+)
+
+
+@st.composite
+def nearly_spheres(draw):
+    """A subdivided sphere, or one with a facet dropped or a facet added."""
+    X = draw(subdivided_spheres())
+    change = draw(st.sampled_from(("none", "drop", "add")))
+    facets = sorted(tuple(sorted(f)) for f in X.facets)
+    if change == "drop":
+        facets.remove(draw(st.sampled_from(facets)))
+    elif change == "add":
+        pool = list(X.vertices) + [max(X.vertices) + 1]
+        extra = draw(st.sets(st.sampled_from(pool), min_size=4, max_size=4))
+        facets = sorted(set(facets) | {tuple(sorted(extra))})
+    return build_from_facets(facets)
+
+
+@fixed
+@given(nearly_spheres())
+@example(SUSPENDED_SPHERE_AND_TORUS)
+def test_manifold_report_matches_the_reference(X):
+    assert verify_closed_3_manifold(X) == verify_closed_3_manifold_reference(X)
+
+
+def test_suspended_sphere_and_torus_fails_only_the_link_check():
+    report = verify_closed_3_manifold(SUSPENDED_SPHERE_AND_TORUS)
+    assert report.two_faces_in_two_facets and report.connected and report.euler_zero
+    assert not report.vertex_links_are_2_spheres
+
+
+@fixed
+@given(subdivided_spheres())
+def test_verify_reports_every_empty_triangle(X):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.txt"
+        write_complex(X, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", "--in", str(path), "--seed", "1"]) == 0
+    assert json.loads(out.getvalue())["empty_triangle_count"] == len(empty_triangles_of(X))
 
 
 @st.composite
@@ -241,6 +314,12 @@ def test_f_vector_matches_the_face_enumeration(X):
     counts = tuple(len(faces[k]) for k in range(1, top + 1))
     assert f_vector(X).counts == counts
     assert f_vector(X).euler == sum((-1) ** i * c for i, c in enumerate(counts))
+
+
+@fixed
+@given(st.one_of(pure_complexes(), subdivided_spheres()))
+def test_derived_adjacency_matches_the_pairwise_adds(X):
+    assert _derive_adjacency(X.facets) == derive_adjacency_reference(X.facets)
 
 
 @st.composite

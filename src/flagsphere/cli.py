@@ -77,7 +77,7 @@ def cmd_flagify(args) -> int:
     write_complex(complex_, args.out)
     if args.trace:
         write_trace(trace, args.trace)
-    _emit(report.as_dict())
+    _emit(asdict(report))
     return 0
 
 

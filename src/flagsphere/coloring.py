@@ -284,13 +284,6 @@ class AlphaReport:
     exact_size: int | None
     conjecture_value: int
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha_greedy": self.greedy_size,
-            "alpha_exact": self.exact_size,
-            "conjecture_value": self.conjecture_value,
-        }
-
 
 def measure_alpha(
     X: SimplicialComplex, seed: int, node_budget: int = 20_000_000

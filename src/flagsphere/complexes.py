@@ -294,11 +294,9 @@ def build_from_facets(
                         f"facet {sorted(small)} is contained in {sorted(big)}"
                     )
         raise NonPure(f"facet cardinalities {sorted(sizes)} are mixed")
-    for f in facet_sets:
-        for v in f:
-            if v < 0:
-                raise UnknownVertex(f"negative vertex id {v}")
     verts = sorted(set().union(*facet_sets))
+    if verts[0] < 0:
+        raise UnknownVertex(f"negative vertex id {verts[0]}")
     full_tags: dict[int, VertexTag] = {}
     for v in verts:
         if tags is not None and v in tags:
@@ -339,16 +337,9 @@ def link(X: SimplicialComplex, face) -> SimplicialComplex:
     return SimplicialComplex(frozenset(residues), tags)
 
 
-def _faces_by_size(X: SimplicialComplex, max_size: int) -> dict[int, set[frozenset[int]]]:
-    """All faces of cardinality 1..max_size, enumerated from facet subsets."""
-    out: dict[int, set[frozenset[int]]] = {k: set() for k in range(1, max_size + 1)}
-    top = X.dimension + 1
-    for facet in X.facets:
-        fl = sorted(facet)
-        for k in range(1, min(max_size, top) + 1):
-            for sub in itertools.combinations(fl, k):
-                out[k].add(frozenset(sub))
-    return out
+def _faces(X: SimplicialComplex, k: int) -> set[tuple[int, ...]]:
+    """All faces of cardinality k, as the sorted k-subsets of the facets."""
+    return {sub for facet in X.facets for sub in itertools.combinations(sorted(facet), k)}
 
 
 def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[frozenset[int]]:
@@ -367,21 +358,21 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[frozenset[int]]
         for v in verts[i + 1 :]:
             if v not in adj[u]:
                 result.add(frozenset((u, v)))
-    faces = _faces_by_size(X, min(max_size, X.dimension + 1))
+    faces = {k: _faces(X, k) for k in range(2, min(max_size, X.dimension + 1) + 1)}
     for clique in cliques(adj, max_size):
-        if len(clique) < 3:
+        k = len(clique)
+        if k < 3 or clique in faces.get(k, ()):
             continue
-        cand = frozenset(clique)
-        base = faces.get(len(cand) - 1, ())
-        if cand not in faces.get(len(cand), ()) and all(cand - {x} in base for x in cand):
-            result.add(cand)
+        base = faces.get(k - 1, ())
+        if all(sub in base for sub in itertools.combinations(clique, k - 1)):
+            result.add(frozenset(clique))
     return result
 
 
-def empty_triangles_of(X: SimplicialComplex) -> set[frozenset[int]]:
-    """The size-3 minimal non-faces: 3-cliques of the 1-skeleton that are not 2-faces."""
-    two_faces = {frozenset(t) for facet in X.facets for t in itertools.combinations(facet, 3)}
-    return {frozenset(c) for c in cliques(X._adj, 3) if len(c) == 3} - two_faces
+def empty_triangles_of(X: SimplicialComplex) -> set[tuple[int, int, int]]:
+    """The size-3 minimal non-faces as sorted tuples: 3-cliques of the
+    1-skeleton that are not 2-faces."""
+    return {c for c in cliques(X._adj, 3) if len(c) == 3} - _faces(X, 3)
 
 
 def is_flag(X: SimplicialComplex) -> bool:
@@ -423,10 +414,7 @@ def f_vector(X: SimplicialComplex) -> FVector:
         return FVector(counts=(), euler=0)
     top = X.dimension + 1
     counts = [X.vertex_count, sum(len(nbrs) for nbrs in X._adj.values()) // 2][: top - 1]
-    for k in range(3, top):
-        counts.append(
-            len({sub for facet in X.facets for sub in itertools.combinations(sorted(facet), k)})
-        )
+    counts += [len(_faces(X, k)) for k in range(3, top)]
     counts.append(X.facet_count)
     euler = sum((-1) ** i * c for i, c in enumerate(counts))
     return FVector(counts=tuple(counts), euler=euler)

@@ -4,7 +4,7 @@ Facets come from the dimension-4 form of Gale's evenness condition: every
 facet is the union of two disjoint "dominoes", i.e. pairs of cyclically
 adjacent vertices on the n-cycle. The 1-skeleton is complete (2-neighborly)
 and the only minimal non-faces are the empty triangles: 3-sets containing
-no cyclically adjacent pair.
+no cyclically adjacent pair, listed from that closed form as sorted tuples.
 
 Vertices are 0-indexed internally; reports and tags use 1-based positions.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import OriginalTag, SimplicialComplex, build_from_facets, empty_triangles_of
+from .complexes import OriginalTag, SimplicialComplex, build_from_facets
 from .errors import TooSmall
 
 
@@ -42,9 +42,17 @@ def cyclic_4_sphere(n: int) -> CyclicSphere:
     return CyclicSphere(n=n, complex=build_from_facets(facets, tags))
 
 
-def empty_triangles(sphere: CyclicSphere) -> set[frozenset[int]]:
-    """The size-3 minimal non-faces: independent 3-sets of the n-cycle."""
-    return empty_triangles_of(sphere.complex)
+def empty_triangles(sphere: CyclicSphere) -> list[tuple[int, int, int]]:
+    """The size-3 minimal non-faces: independent 3-sets of the n-cycle, as
+    sorted tuples in lexicographic order. No two of i < j < k are adjacent,
+    and i = 0 with k = n-1 would be the wrap-around pair."""
+    n = sphere.n
+    return [
+        (i, j, k)
+        for i in range(n)
+        for j in range(i + 2, n)
+        for k in range(j + 2, n - (i == 0))
+    ]
 
 
 def empty_triangle_count_closed_form(n: int) -> int:

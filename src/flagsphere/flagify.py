@@ -17,8 +17,9 @@ Index design. One FlagifyState is advanced in place for the whole run:
     each link query and each subdivision in time proportional to the star;
   * the all-original empty triangles are a set of sorted tuples. That set
     only ever shrinks: every triangle a subdivision creates contains the
-    fresh vertex, which is not original. So the initial triangles are
-    sorted once, and a cursor that skips dead entries always points at the
+    fresh vertex, which is not original. So the initial triangles, which
+    the cyclic sphere lists in lexicographic order, are kept as that list,
+    and a cursor that skips dead entries always points at the
     lexicographically smallest live one, the next round's target;
   * subdividing an edge {u, v} of two originals kills exactly the live
     triangles {u, v, x}, which are found by probing each original x.
@@ -50,8 +51,8 @@ Triangle = tuple[int, int, int]
 class FlagifyState:
     """A flagify run between rounds; eliminate_round advances it in place.
 
-    `all_original` holds the live all-original empty triangles as sorted
-    tuples, `order` the initial ones in lexicographic order and `cursor`
+    `order` holds the initial all-original empty triangles as sorted tuples
+    in lexicographic order, `all_original` the live ones and `cursor`
     the position before which every entry of `order` is dead.
     `with_subdivision` holds the empty triangles through a fresh vertex; it
     is empty between rounds. After an InvariantViolation the state is not
@@ -64,13 +65,13 @@ class FlagifyState:
     )
 
     def __init__(
-        self, builder: ComplexBuilder, embedded: Graph, triangles: set[Triangle], base_n: int
+        self, builder: ComplexBuilder, embedded: Graph, order: list[Triangle], base_n: int
     ):
         self.builder = builder
         self.embedded = embedded
         self.events: list[tuple[int, int, int]] = []
-        self.all_original = triangles
-        self.order = sorted(triangles)
+        self.all_original = set(order)
+        self.order = order
         self.cursor = 0
         self.with_subdivision: set[Triangle] = set()
         self.rounds = 0
@@ -96,14 +97,6 @@ class FlagifyReport:
     round_count: int
     bound: int
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "final_vertex_count": self.final_vertex_count,
-            "subdivision_count": self.subdivision_count,
-            "round_count": self.round_count,
-            "bound": self.bound,
-        }
-
 
 def vertex_bound(n: int) -> int:
     """Worst-case final vertex count: 4*C(n,2) + n."""
@@ -121,8 +114,7 @@ def embed(g: Graph, n: int) -> FlagifyState:
     if g.n > n:
         raise TooFewPolytopeVertices(f"graph has {g.n} vertices, polytope only {n}")
     sphere = cyclic_4_sphere(n)
-    triangles = {tuple(sorted(t)) for t in empty_triangles(sphere)}
-    return FlagifyState(ComplexBuilder(sphere.complex), g, triangles, n)
+    return FlagifyState(ComplexBuilder(sphere.complex), g, empty_triangles(sphere), n)
 
 
 def _cascade_pairs(builder: ComplexBuilder, edge) -> set[frozenset[int]]:
@@ -247,8 +239,7 @@ def audit_state(state: FlagifyState) -> bool:
     builder = state.builder
     if not builder.indexes_consistent() or state.with_subdivision:
         return False
-    fresh = {tuple(sorted(t)) for t in empty_triangles_of(builder.freeze())}
-    if fresh != state.all_original:
+    if empty_triangles_of(builder.freeze()) != state.all_original:
         return False
     if not state.all_original <= set(state.order[state.cursor :]):
         return False

@@ -52,7 +52,7 @@ def write_complex(X: SimplicialComplex, path: str | Path) -> None:
 
 def read_complex(path: str | Path) -> SimplicialComplex:
     lines = _data_lines(Path(path).read_text(encoding="utf-8"))
-    facets: list[list[int]] = []
+    facets: list[frozenset[int]] = []
     tags: dict[int, object] = {}
     in_tags = False
     for line in lines:
@@ -64,10 +64,10 @@ def read_complex(path: str | Path) -> SimplicialComplex:
         parts = line.split()
         if not in_tags:
             try:
-                facets.append([int(p) for p in parts])
+                facets.append(frozenset(map(int, parts)))
             except ValueError as exc:
                 raise ParseError(f"bad facet line {line!r}") from exc
-            if len(set(facets[-1])) != len(parts):
+            if len(facets[-1]) != len(parts):
                 raise ParseError(f"facet line {line!r} repeats a vertex")
         else:
             try:
@@ -130,9 +130,12 @@ def read_graph(path: str | Path) -> Graph:
             raise ParseError(f"bad edge line {line!r}") from exc
         edges.append((u, v))
     try:
-        return Graph(n, edges)
+        g = Graph(n, edges)
     except ValueError as exc:
         raise ParseError(f"invalid graph file: {exc}") from exc
+    if g.edge_count != m:
+        raise ParseError(f"graph file repeats an edge: {g.edge_count} distinct of {m} listed")
+    return g
 
 
 # -- trace files -----------------------------------------------------------------

@@ -17,9 +17,9 @@ from flagsphere import (
     TruncatedCliqueComplex,
     build_from_facets,
     cyclic_4_sphere,
-    empty_triangles,
     f_vector,
     grotzsch_graph,
+    minimal_nonfaces,
     mycielskian,
     subdivide_edge,
 )
@@ -101,6 +101,18 @@ def minimal_nonfaces_bruteforce(X, max_size: int) -> set[frozenset[int]]:
             s = frozenset(comb)
             if s not in faces and all(s - {x} in faces for x in s):
                 out.add(s)
+    return out
+
+
+def faces_by_size_reference(X: SimplicialComplex, max_size: int) -> dict[int, set[frozenset[int]]]:
+    """All faces of cardinality 1..max_size, enumerated from facet subsets."""
+    out: dict[int, set[frozenset[int]]] = {k: set() for k in range(1, max_size + 1)}
+    top = X.dimension + 1
+    for facet in X.facets:
+        fl = sorted(facet)
+        for k in range(1, min(max_size, top) + 1):
+            for sub in itertools.combinations(fl, k):
+                out[k].add(frozenset(sub))
     return out
 
 
@@ -272,7 +284,11 @@ def reference_round(state: ReferenceState) -> ReferenceState:
 def flagify_reference(g: Graph, n: int) -> ReferenceState:
     """Oracle for flagify: rounds of reference_round until no empty triangle is left."""
     sphere = cyclic_4_sphere(n)
-    state = ReferenceState(sphere.complex, g, (), frozenset(empty_triangles(sphere)), 0)
+    # the sphere is 2-neighborly, so its minimal non-faces of size <= 3 are
+    # the empty triangles; taking them from here, not from the closed form in
+    # cyclic.empty_triangles, makes every flagify comparison check that too
+    triangles = frozenset(minimal_nonfaces(sphere.complex, 3))
+    state = ReferenceState(sphere.complex, g, (), triangles, 0)
     while state.all_original:
         state = reference_round(state)
     return state

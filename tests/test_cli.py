@@ -97,6 +97,21 @@ def test_flagify_rejects_triangle(tmp_path, capsys):
     assert "NotTriangleFree" in err
 
 
+@pytest.mark.parametrize("command", ("flagify", "certify"))
+def test_graph_with_a_repeated_edge_exit_two(tmp_path, capsys, command):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("6 2\n0 2\n2 0\n")
+    sphere = tmp_path / "c6.txt"
+    run(capsys, "cyclic", "--n", "6", "--out", str(sphere))
+    args = {
+        "flagify": ("--n", "6", "--out", str(tmp_path / "x.txt")),
+        "certify": ("--in", str(sphere), "--k", "2"),
+    }[command]
+    code, stdout, err = run(capsys, command, "--graph", str(gfile), *args)
+    assert (code, stdout) == (2, "")
+    assert "ParseError" in err and "repeats an edge" in err
+
+
 def test_color_command(tmp_path, capsys):
     gfile = tmp_path / "c5.txt"
     write_graph(Graph.cycle(5), gfile)

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from flagsphere import cyclic_4_sphere, empty_triangles, minimal_nonfaces, verify_closed_3_manifold
+from flagsphere.complexes import empty_triangles_of
 from flagsphere.cyclic import empty_triangle_count_closed_form
 from flagsphere.errors import TooSmall
 
@@ -52,7 +53,15 @@ def test_manifold_verification(n):
 
 def test_empty_triangles_n6():
     s = cyclic_4_sphere(6)
-    assert empty_triangles(s) == {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
+    assert empty_triangles(s) == [(0, 2, 4), (1, 3, 5)]
+
+
+@pytest.mark.parametrize("n", range(6, 41))
+def test_closed_form_lists_the_clique_scan_in_order(n):
+    s = cyclic_4_sphere(n)
+    triangles = empty_triangles(s)
+    assert triangles == sorted(empty_triangles_of(s.complex))
+    assert len(triangles) == n * (n - 4) * (n - 5) // 6
 
 
 @pytest.mark.parametrize("n", range(6, 15))

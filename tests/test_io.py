@@ -88,6 +88,20 @@ def test_graph_header_mismatch(tmp_path):
         read_graph(path)
 
 
+def test_graph_repeated_edge_rejected(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("6 2\n0 2\n2 0\n")
+    with pytest.raises(ParseError, match="repeats an edge"):
+        read_graph(path)
+
+
+def test_complex_negative_vertex_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 1 2\n-1 1 2\n")
+    with pytest.raises(ParseError, match="negative vertex id -1"):
+        read_complex(path)
+
+
 def test_graph_out_of_range_edge(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3 1\n0 5\n")

@@ -32,7 +32,7 @@ from flagsphere import (
 from flagsphere.cli import main
 from flagsphere.complexes import (
     _derive_adjacency,
-    _faces_by_size,
+    _faces,
     _facet_incidence,
     _link_is_2_sphere,
     empty_triangles_of,
@@ -46,6 +46,7 @@ from flagsphere.randomclique import clique_census, sample_gnp_edges
 from conftest import (
     clique_census_scan,
     derive_adjacency_reference,
+    faces_by_size_reference,
     facet_incidence_reference,
     flagify_reference,
     induced_subgraph_reference,
@@ -83,7 +84,7 @@ def test_nonfaces_flagness_and_empty_triangles_match_the_oracle(X):
     oracle = minimal_nonfaces_bruteforce(X, 5)
     assert minimal_nonfaces(X, 5) == oracle
     assert is_flag(X) == all(len(f) == 2 for f in oracle)
-    assert empty_triangles_of(X) == {f for f in oracle if len(f) == 3}
+    assert empty_triangles_of(X) == {tuple(sorted(f)) for f in oracle if len(f) == 3}
 
 
 @fixed
@@ -310,10 +311,18 @@ def pure_complexes(draw):
 @given(st.one_of(pure_complexes(), subdivided_spheres()))
 def test_f_vector_matches_the_face_enumeration(X):
     top = X.dimension + 1
-    faces = _faces_by_size(X, top)
+    faces = faces_by_size_reference(X, top)
     counts = tuple(len(faces[k]) for k in range(1, top + 1))
     assert f_vector(X).counts == counts
     assert f_vector(X).euler == sum((-1) ** i * c for i, c in enumerate(counts))
+
+
+@fixed
+@given(st.one_of(pure_complexes(), subdivided_spheres()), st.integers(1, 5))
+def test_faces_are_the_sorted_facet_subsets(X, k):
+    faces = _faces(X, k)
+    assert all(list(f) == sorted(f) for f in faces)
+    assert {frozenset(f) for f in faces} == faces_by_size_reference(X, k)[k]
 
 
 @fixed

@@ -13,9 +13,9 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-from .complexes import empty_triangles_of, f_vector, is_flag, replay, verify_closed_3_manifold
-# not called here; imported so perfbench/run.py can trace this call site
-from .complexes import minimal_nonfaces  # noqa: F401
+from .complexes import empty_triangles_of, is_flag, replay, verify_closed_3_manifold
+# not called here; imported so perfbench/run.py can trace these call sites
+from .complexes import f_vector, minimal_nonfaces  # noqa: F401
 from .coloring import (
     PeelParams,
     certify_lower_bound,
@@ -81,20 +81,27 @@ def cmd_flagify(args) -> int:
     return 0
 
 
+def _peel_params(args) -> PeelParams:
+    """The peel options shared by verify and color; a rejected value is a ParseError."""
+    try:
+        return PeelParams(x=args.x, planar_strategy=args.strategy, exact4_cap=args.cap)
+    except ValueError as exc:
+        raise ParseError(f"bad peel option: {exc}") from exc
+
+
 def cmd_verify(args) -> int:
+    params = _peel_params(args)
     X = read_complex(args.infile)
     checks = verify_closed_3_manifold(X)
     flag = is_flag(X)
     empty_tris = 0 if flag else len(empty_triangles_of(X))  # flag: no empty triangle
     chromatic_upper: int | None = None
     if flag and checks.passed:
-        params = PeelParams(x=args.x, planar_strategy=args.strategy, exact4_cap=args.cap)
         chromatic_upper = peel_color_unchecked(X, params).color_count
     alpha = measure_alpha(X, seed=args.seed, node_budget=args.budget)
-    fv = f_vector(X)
     report = StatsReport(
-        f_vector=fv.counts,
-        euler=fv.euler,
+        f_vector=checks.f_vector.counts,
+        euler=checks.f_vector.euler,
         is_flag=flag,
         manifold_checks=checks.as_dict(),
         empty_triangle_count=empty_tris,
@@ -110,8 +117,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_color(args) -> int:
+    params = _peel_params(args)
     X = read_complex(args.infile)
-    params = PeelParams(x=args.x, planar_strategy=args.strategy, exact4_cap=args.cap)
     coloring = peel_color_3(X, params)
     if args.out:
         write_coloring(coloring, args.out)

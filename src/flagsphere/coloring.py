@@ -79,7 +79,7 @@ class PeelParams:
     allow_fallback: bool = True
 
     def __post_init__(self):
-        if self.x <= 0:
+        if not self.x > 0:  # also rejects nan
             raise ValueError("x must be positive")
         if self.planar_strategy not in ("exact4", "five", "greedy"):
             raise ValueError(f"unknown planar strategy {self.planar_strategy!r}")

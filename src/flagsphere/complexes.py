@@ -53,12 +53,14 @@ class FVector:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the closed-3-manifold checks; passed iff all four hold."""
+    """Outcome of the closed-3-manifold checks; passed iff all four hold.
+    `f_vector` is the face count the checks read; it is not in as_dict."""
 
     two_faces_in_two_facets: bool
     connected: bool
     vertex_links_are_2_spheres: bool
     euler_zero: bool
+    f_vector: FVector
 
     @property
     def passed(self) -> bool:
@@ -187,9 +189,9 @@ class ComplexBuilder:
 
     It holds the facet set, each vertex's star (the facets containing it),
     the adjacency sets, the tags, the next free vertex id and the count of
-    subdivision steps. subdivide() costs O(size of the edge's star), where
-    subdivide_edge() copies the whole complex; freeze() returns an
-    immutable SimplicialComplex and leaves the builder usable.
+    subdivision steps. subdivide() costs O(size of the smaller endpoint
+    star), where subdivide_edge() copies the whole complex; freeze()
+    returns an immutable SimplicialComplex and leaves the builder usable.
     """
 
     __slots__ = ("facets", "star", "adj", "tags", "next_id", "steps")
@@ -208,35 +210,36 @@ class ComplexBuilder:
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
 
-    def edge_link_structure(self, edge) -> tuple[set[int], set[frozenset[int]]]:
-        """Vertices and edges of the link of an edge (facet residues), read
-        from the smaller star of its two endpoints."""
+    def _edge_star(self, edge) -> tuple[frozenset[int], list[frozenset[int]]]:
+        """The checked vertex pair and the facets holding it, from the smaller star."""
         e = frozenset(edge)
         if len(e) != 2:
             raise NotAnEdge(f"{sorted(e)} is not a vertex pair")
         u, v = e
         smaller = min(self.star.get(u, ()), self.star.get(v, ()), key=len)
-        residues = {facet - e for facet in smaller if e <= facet}
-        if not residues:
+        facets = [facet for facet in smaller if e <= facet]
+        if not facets:
             raise NotAnEdge(f"{sorted(e)} is not an edge")
+        return e, facets
+
+    def edge_link_structure(self, edge) -> tuple[set[int], set[frozenset[int]]]:
+        """Vertices and edges of the link of an edge (facet residues)."""
+        e, facets = self._edge_star(edge)
+        residues = {facet - e for facet in facets}
         return set().union(*residues), residues
 
     def subdivide(self, edge) -> int:
         """Subdivide an edge in place (see subdivide_edge); returns the new vertex."""
-        e = frozenset(edge)
-        if len(e) != 2:
-            raise NotAnEdge(f"{sorted(e)} is not a vertex pair")
+        e, facets = self._edge_star(edge)
         u, v = sorted(e)
         adj, star = self.adj, self.star
-        if u not in adj or v not in adj[u]:
-            raise NotAnEdge(f"({u}, {v}) is not an edge")
         w = self.next_id
         self.next_id += 1
         self.steps += 1
         self.tags[w] = SubdivisionTag(parent_edge=(u, v), step=self.steps)
         star[w] = set()
         link_verts: set[int] = set()
-        for facet in [f for f in star[u] if v in f]:
+        for facet in facets:
             rest = facet - e
             self.facets.remove(facet)
             for x in facet:
@@ -485,12 +488,14 @@ def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
     # a ridge in k != 2 facets is an edge in k triangles of its vertices' links
     links_ok = two_faces_ok and all(_link_is_2_sphere(X._adj[v], star[v]) for v in star)
     edge_count = sum(len(nbrs) for nbrs in X._adj.values()) // 2
-    euler = X.vertex_count - edge_count + len(ridge_count) - X.facet_count
+    counts = (X.vertex_count, edge_count, len(ridge_count), X.facet_count)
+    euler = counts[0] - counts[1] + counts[2] - counts[3]
     return VerificationReport(
         two_faces_in_two_facets=two_faces_ok,
         connected=connected,
         vertex_links_are_2_spheres=links_ok,
         euler_zero=euler == 0,
+        f_vector=FVector(counts=counts, euler=euler),
     )
 
 

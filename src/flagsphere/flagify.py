@@ -8,21 +8,21 @@ at-most-two new empty triangles through the fresh vertex, restoring the
 invariant that every empty triangle lies on original vertices. New empty
 triangles after subdividing an edge f with fresh vertex w are exactly the
 sets {w, x, y} where x and y lie on the link cycle of f, are adjacent in
-the complex, but are not joined by a link edge; the index is maintained
-incrementally from that local rule and can be audited against a full
-recomputation.
+the complex, but are not joined by a link edge. They are read after the
+cut from the half-edge {u, w} of f = {u, v}, which has the link of f, and
+kept in a set maintained from that local rule; a full recomputation can
+audit it.
 
 Index design. One FlagifyState is advanced in place for the whole run:
   * the complex is a ComplexBuilder, whose vertex -> facets star answers
-    each link query and each subdivision in time proportional to the star;
-  * the all-original empty triangles are a set of sorted tuples. That set
-    only ever shrinks: every triangle a subdivision creates contains the
-    fresh vertex, which is not original. So the initial triangles, which
-    the cyclic sphere lists in lexicographic order, are kept as that list,
-    and a cursor that skips dead entries always points at the
-    lexicographically smallest live one, the next round's target;
-  * subdividing an edge {u, v} of two originals kills exactly the live
-    triangles {u, v, x}, which are found by probing each original x.
+    each link query and each subdivision in time proportional to a star;
+  * the all-original empty triangles are not indexed. Every face and edge
+    a subdivision creates contains the fresh vertex, and edges between
+    older vertices are only ever removed. So a triangle (a, b, c) that the
+    cyclic sphere lists, in lexicographic order, stays a non-face and is
+    alive exactly while its three edges exist in the builder, and a cursor
+    that skips dead entries of the list always points at the smallest live
+    one, the next round's target.
 
 A round performs at most four subdivisions and a run needs at most
 4*C(n,2) in total; hard guards (4 per round, 5*C(n,2) overall) raise
@@ -31,6 +31,7 @@ InvariantViolation with the recent event trail instead of looping.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,30 +53,23 @@ class FlagifyState:
     """A flagify run between rounds; eliminate_round advances it in place.
 
     `order` holds the initial all-original empty triangles as sorted tuples
-    in lexicographic order, `all_original` the live ones and `cursor`
-    the position before which every entry of `order` is dead.
+    in lexicographic order and `cursor` the position before which every
+    entry of `order` is dead; an entry is live while its three edges exist.
     `with_subdivision` holds the empty triangles through a fresh vertex; it
     is empty between rounds. After an InvariantViolation the state is not
     usable.
     """
 
-    __slots__ = (
-        "builder", "embedded", "events", "all_original", "order", "cursor",
-        "with_subdivision", "rounds", "base_n",
-    )
+    __slots__ = ("builder", "embedded", "events", "order", "cursor", "with_subdivision", "rounds")
 
-    def __init__(
-        self, builder: ComplexBuilder, embedded: Graph, order: list[Triangle], base_n: int
-    ):
+    def __init__(self, builder: ComplexBuilder, embedded: Graph, order: list[Triangle]):
         self.builder = builder
         self.embedded = embedded
         self.events: list[tuple[int, int, int]] = []
-        self.all_original = set(order)
         self.order = order
         self.cursor = 0
         self.with_subdivision: set[Triangle] = set()
         self.rounds = 0
-        self.base_n = base_n
 
     @property
     def trace(self) -> SubdivisionTrace:
@@ -86,8 +80,10 @@ class FlagifyState:
         return len(self.events)
 
     @property
-    def empty_triangle_count(self) -> int:
-        return len(self.all_original) + len(self.with_subdivision)
+    def all_original(self) -> set[Triangle]:
+        """The live all-original empty triangles, read from `cursor` on."""
+        adj = self.builder.adj
+        return {t for t in self.order[self.cursor :] if _alive(adj, t)}
 
 
 @dataclass(frozen=True)
@@ -114,24 +110,23 @@ def embed(g: Graph, n: int) -> FlagifyState:
     if g.n > n:
         raise TooFewPolytopeVertices(f"graph has {g.n} vertices, polytope only {n}")
     sphere = cyclic_4_sphere(n)
-    return FlagifyState(ComplexBuilder(sphere.complex), g, empty_triangles(sphere), n)
+    return FlagifyState(ComplexBuilder(sphere.complex), g, empty_triangles(sphere))
+
+
+def _alive(adj: dict[int, set[int]], t: Triangle) -> bool:
+    """Is a listed all-original triangle still empty: are its edges all there?"""
+    a, b, c = t
+    return b in adj[a] and c in adj[a] and c in adj[b]
 
 
 def _cascade_pairs(builder: ComplexBuilder, edge) -> set[frozenset[int]]:
-    """Pairs on the link cycle of `edge` that would become empty-triangle
-    partners of the fresh vertex: adjacent in the complex, not link-adjacent."""
+    """Pairs on the link cycle of `edge` that are adjacent in the complex but
+    not link-adjacent: the empty-triangle partners a fresh vertex on `edge`
+    gets, or, for a half-edge u-w, has got."""
     verts, link_edges = edge_link_structure(builder, edge)
-    pairs: set[frozenset[int]] = set()
-    ordered = sorted(verts)
-    for i, x in enumerate(ordered):
-        nx = builder.adj[x]
-        for y in ordered[i + 1 :]:
-            if y not in nx:
-                continue
-            pair = frozenset((x, y))
-            if pair not in link_edges:
-                pairs.add(pair)
-    return pairs
+    adj = builder.adj
+    near = {frozenset((x, y)) for x, y in itertools.combinations(verts, 2) if y in adj[x]}
+    return near - link_edges
 
 
 def _in_embedded(g: Graph, a: int, b: int) -> bool:
@@ -149,16 +144,12 @@ def _subdivide(state: FlagifyState, edge: tuple[int, int], round_start: int) -> 
             f"repair cascade exceeds 4 subdivisions in one round; trail: {_trail(state)}"
         )
     builder = state.builder
-    born_pairs = _cascade_pairs(builder, edge)
     w = subdivide_edge(builder, edge)
     u, v = sorted(edge)
-    alive = state.all_original
-    if alive and builder.is_original(u) and builder.is_original(v):
-        for x in range(state.base_n):
-            alive.discard((x, u, v) if x < u else (u, x, v) if x < v else (u, v, x))
+    # the half-edge u-w has the old edge's link, read from w's small star
+    born_pairs = _cascade_pairs(builder, (u, w))
     pending = state.with_subdivision
-    for t in [t for t in pending if u in t and v in t]:
-        pending.remove(t)
+    pending -= {t for t in pending if u in t and v in t}
     if len(born_pairs) > 2:
         raise InvariantViolation(
             f"subdividing {[u, v]} created {len(born_pairs)} empty triangles; "
@@ -176,14 +167,15 @@ def _subdivide(state: FlagifyState, edge: tuple[int, int], round_start: int) -> 
     state.events.append((u, v, w))
 
 
-def _next_target(state: FlagifyState) -> Triangle:
-    """The lexicographically smallest live all-original empty triangle."""
-    order, alive = state.order, state.all_original
+def _next_target(state: FlagifyState) -> Triangle | None:
+    """The lexicographically smallest live all-original empty triangle, or
+    None when none is left; moves the cursor onto it."""
+    order, adj = state.order, state.builder.adj
     i = state.cursor
-    while order[i] not in alive:
+    while i < len(order) and not _alive(adj, order[i]):
         i += 1
     state.cursor = i
-    return order[i]
+    return order[i] if i < len(order) else None
 
 
 def eliminate_round(state: FlagifyState) -> FlagifyState:
@@ -198,12 +190,11 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
     """
     if state.with_subdivision:
         raise InvariantViolation("round must start with all empty triangles original")
-    if not state.all_original:
+    target = _next_target(state)
+    if target is None:
         raise InvariantViolation("no empty triangle left to eliminate")
     g = state.embedded
     round_start = len(state.events)
-
-    target = _next_target(state)
     a, b, c = target
     primary = next(
         (e for e in ((a, b), (a, c), (b, c)) if not _in_embedded(g, *e)),
@@ -213,7 +204,7 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
         # triangle-free embedded graphs always leave at least one free edge
         raise InvariantViolation(f"all edges of {list(target)} are protected")
     _subdivide(state, primary, round_start)
-    if target in state.all_original:
+    if _alive(state.builder.adj, target):
         raise InvariantViolation(f"primary triangle {list(target)} survived")
 
     while state.with_subdivision:
@@ -233,17 +224,14 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
 
 def audit_state(state: FlagifyState) -> bool:
     """Cross-check every index against a full recomputation: the builder's
-    star and adjacency against its facets, the triangle set against the
-    size-3 minimal non-faces, the cursor against the triangle set, plus the
-    all-original invariant and survival of every embedded edge."""
+    star and adjacency against its facets, and the live triangles from the
+    cursor on against the size-3 minimal non-faces, which also checks that
+    every empty triangle is all-original and that the cursor skipped no live
+    one; plus survival of every embedded edge."""
     builder = state.builder
     if not builder.indexes_consistent() or state.with_subdivision:
         return False
     if empty_triangles_of(builder.freeze()) != state.all_original:
-        return False
-    if not state.all_original <= set(state.order[state.cursor :]):
-        return False
-    if not all(builder.is_original(v) for t in state.all_original for v in t):
         return False
     return all(builder.has_edge(u, v) for u, v in state.embedded.edges)
 
@@ -261,7 +249,7 @@ def flagify(
     """
     state = embed(g, n)
     max_subdivisions = 5 * math.comb(n, 2)
-    while state.all_original:
+    while _next_target(state) is not None:
         state = eliminate_round(state)
         if state.subdivision_count > max_subdivisions:
             raise InvariantViolation(

@@ -21,9 +21,8 @@ from flagsphere import (
     grotzsch_graph,
     minimal_nonfaces,
     mycielskian,
-    subdivide_edge,
 )
-from flagsphere.complexes import VerificationReport, _connected
+from flagsphere.complexes import SubdivisionTag, VerificationReport, _connected
 from flagsphere.errors import WrongDimension
 from flagsphere.randomclique import _link_graph_acyclic
 
@@ -182,12 +181,13 @@ def verify_closed_3_manifold_reference(X: SimplicialComplex) -> VerificationRepo
     two_faces_ok = all(c == 2 for c in triangle_count.values())
     connected = _connected(X.vertices, X._adj)
     links_ok = all(link_check_reference(residues) for residues in star.values())
-    euler_zero = f_vector(X).euler == 0
+    fv = f_vector(X)
     return VerificationReport(
         two_faces_in_two_facets=two_faces_ok,
         connected=connected,
         vertex_links_are_2_spheres=links_ok,
-        euler_zero=euler_zero,
+        euler_zero=fv.euler == 0,
+        f_vector=fv,
     )
 
 def link_is_2_sphere_reference(triangles) -> bool:
@@ -226,6 +226,25 @@ def edge_link_structure_scan(X, edge) -> tuple[set[int], set[frozenset[int]]]:
     return set().union(*residues), set(residues)
 
 
+def subdivide_edge_scan(X, edge) -> tuple[SimplicialComplex, int]:
+    """Oracle for ComplexBuilder.subdivide: split every facet holding the
+    edge, found by a scan of all facets, and rebuild the complex from the
+    new facet list."""
+    e = frozenset(edge)
+    u, v = sorted(e)
+    assert X.has_edge(u, v), f"{sorted(e)} is not an edge"
+    w = max(X.tags) + 1
+    facets = []
+    for facet in X.facets:
+        if e <= facet:
+            facets += [facet - {v} | {w}, facet - {u} | {w}]
+        else:
+            facets.append(facet)
+    step = X.subdivision_vertex_count() + 1
+    tags = {**X.tags, w: SubdivisionTag(parent_edge=(u, v), step=step)}
+    return build_from_facets(facets, tags), w
+
+
 def _reference_cascade_pairs(X, edge) -> set[frozenset[int]]:
     verts, link_edges = edge_link_structure_scan(X, edge)
     ordered = sorted(verts)
@@ -242,8 +261,8 @@ def reference_round(state: ReferenceState) -> ReferenceState:
 
     Same rules as flagify.eliminate_round, computed the slow way: the target
     is a full-scan minimum, killed triangles come from a scan of the whole
-    index, links from a scan of every facet, and each subdivision copies the
-    complex through the functional subdivide_edge.
+    index, links from a scan of every facet, and each subdivision rebuilds
+    the complex through subdivide_edge_scan.
     """
     g = state.embedded
     X = state.complex
@@ -258,7 +277,7 @@ def reference_round(state: ReferenceState) -> ReferenceState:
         nonlocal X
         assert len(events) - len(state.events) < 4, "more than 4 subdivisions in a round"
         born_pairs = _reference_cascade_pairs(X, edge)
-        X, w = subdivide_edge(X, edge)
+        X, w = subdivide_edge_scan(X, edge)
         e = frozenset(edge)
         all_original.difference_update({t for t in all_original if e <= t})
         pending.difference_update({t for t in pending if e <= t})
@@ -281,14 +300,19 @@ def reference_round(state: ReferenceState) -> ReferenceState:
     return ReferenceState(X, g, tuple(events), frozenset(all_original), state.rounds + 1)
 
 
-def flagify_reference(g: Graph, n: int) -> ReferenceState:
-    """Oracle for flagify: rounds of reference_round until no empty triangle is left."""
+def reference_start(g: Graph, n: int) -> ReferenceState:
+    """The reference state before the first round."""
     sphere = cyclic_4_sphere(n)
     # the sphere is 2-neighborly, so its minimal non-faces of size <= 3 are
     # the empty triangles; taking them from here, not from the closed form in
     # cyclic.empty_triangles, makes every flagify comparison check that too
     triangles = frozenset(minimal_nonfaces(sphere.complex, 3))
-    state = ReferenceState(sphere.complex, g, (), triangles, 0)
+    return ReferenceState(sphere.complex, g, (), triangles, 0)
+
+
+def flagify_reference(g: Graph, n: int) -> ReferenceState:
+    """Oracle for flagify: rounds of reference_round until no empty triangle is left."""
+    state = reference_start(g, n)
     while state.all_original:
         state = reference_round(state)
     return state

@@ -1,6 +1,10 @@
 """CLI commands: outputs, exit codes, determinism of reports and files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,26 @@ def test_color_command(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["colors"] >= 4  # contains K4s
     assert colored.exists()
+
+
+@pytest.mark.parametrize("command", ("verify", "color"))
+@pytest.mark.parametrize("x", ("nan", "0"))
+def test_non_positive_x_exit_two_promptly(tmp_path, capsys, command, x):
+    # on a flag sphere a nan threshold would peel forever, so run the CLI in
+    # its own process under a timeout
+    gfile = tmp_path / "c5.txt"
+    write_graph(Graph.cycle(5), gfile)
+    sphere = tmp_path / "f.txt"
+    run(capsys, "flagify", "--graph", str(gfile), "--n", "6", "--out", str(sphere))
+    extra = ("--seed", "1") if command == "verify" else ()
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-m", "flagsphere.cli", command, "--in", str(sphere), "--x", x, *extra],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "ParseError" in done.stderr and "x must be positive" in done.stderr
 
 
 def test_color_rejects_nonflag(tmp_path, capsys):

@@ -160,6 +160,8 @@ class TestPeel:
         with pytest.raises(ValueError):
             PeelParams(x=0.0)
         with pytest.raises(ValueError):
+            PeelParams(x=float("nan"))  # would never peel a vertex
+        with pytest.raises(ValueError):
             PeelParams(planar_strategy="fourcolor")
 
     def test_sixteen_cell(self):

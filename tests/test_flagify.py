@@ -42,7 +42,7 @@ def _put_back_a_replaced_facet(state):
 class TestEmbed:
     def test_c5_into_6(self):
         state = embed(Graph.cycle(5), 6)
-        assert state.empty_triangle_count == 2
+        assert len(state.all_original) == 2
         assert not state.with_subdivision
 
     def test_triangle_rejected(self):
@@ -105,7 +105,7 @@ class TestAudit:
 
     def test_corrupted_index_fails(self):
         tampered = embed(Graph.cycle(5), 6)
-        tampered.all_original.pop()
+        del tampered.order[tampered.cursor]  # the live triangle the cursor points at
         assert not audit_state(tampered)
 
     def test_stale_star_entry_fails(self):

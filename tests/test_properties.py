@@ -13,6 +13,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,8 @@ from flagsphere import (
     Graph,
     build_from_facets,
     cyclic_4_sphere,
+    eliminate_round,
+    embed,
     f_vector,
     flagify,
     is_flag,
@@ -38,7 +41,7 @@ from flagsphere.complexes import (
     empty_triangles_of,
     verify_closed_3_manifold,
 )
-from flagsphere.errors import SolverTimeout
+from flagsphere.errors import InvariantViolation, SolverTimeout
 from flagsphere.graphs import _Budget, _k_colorable, cliques, smallest_last_order
 from flagsphere.io import write_complex
 from flagsphere.randomclique import clique_census, sample_gnp_edges
@@ -54,8 +57,11 @@ from conftest import (
     link_check_reference,
     link_is_2_sphere_reference,
     minimal_nonfaces_bruteforce,
+    reference_round,
+    reference_start,
     sample_gnp_edges_bisect,
     smallest_last_order_reference,
+    subdivide_edge_scan,
     verify_closed_3_manifold_reference,
 )
 
@@ -229,6 +235,22 @@ def test_flagify_matches_the_snapshot_reference(n, seed):
     assert X == reference.complex
 
 
+@fixed
+@given(st.integers(7, 12), st.integers(0, 10**6))
+def test_derived_live_triangles_match_the_reference_set_after_every_round(n, seed):
+    g = triangle_free_process(n, seed)
+    state = embed(g, n)
+    reference = reference_start(g, n)
+    assert {frozenset(t) for t in state.all_original} == reference.all_original
+    while reference.all_original:
+        eliminate_round(state)
+        reference = reference_round(reference)
+        assert tuple(state.events) == reference.events
+        assert {frozenset(t) for t in state.all_original} == reference.all_original
+    with pytest.raises(InvariantViolation, match="no empty triangle left"):
+        eliminate_round(state)
+
+
 def _indexes_from_facets(facets):
     star, adj = {}, {}
     for facet in facets:
@@ -290,7 +312,8 @@ def test_builder_walk_keeps_its_indexes_and_matches_the_functional_chain(X, pick
     for pick in picks:
         edges = X.edges()
         edge = edges[pick % len(edges)]
-        X, w = subdivide_edge(X, edge)
+        assert subdivide_edge(X, edge) == subdivide_edge_scan(X, edge)
+        X, w = subdivide_edge_scan(X, edge)
         assert builder.subdivide(edge) == w
         assert (builder.star, builder.adj) == _indexes_from_facets(builder.facets)
         assert builder.indexes_consistent()

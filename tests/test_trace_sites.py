@@ -1,4 +1,5 @@
-"""The benchmark's traced call sites exist in the package.
+"""The benchmark's traced call sites exist in the package, and flagify calls
+the ones its metrics are derived from.
 
 `perfbench/run.py --trace 1` wraps each (module, attribute) of its
 TRACE_SITES list; a simplification that drops or renames one of those names
@@ -9,6 +10,8 @@ from the file's syntax tree, so the script is neither imported nor run.
 import ast
 import importlib
 from pathlib import Path
+
+from flagsphere import grotzsch_graph, mycielskian
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -31,3 +34,23 @@ def test_every_trace_site_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_flagify_calls_the_traced_builder_primitives(monkeypatch):
+    # perfbench derives the cascade counts from the flagify.subdivide_edge
+    # spans, so every subdivision has to go through that module attribute
+    flagify_module = importlib.import_module("flagsphere.flagify")
+    calls = {"subdivide_edge": 0, "edge_link_structure": 0}
+    for name in calls:
+        real = getattr(flagify_module, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(flagify_module, name, counting)
+    _, report, _ = flagify_module.flagify(mycielskian(grotzsch_graph()), 23)
+    assert calls["subdivide_edge"] == report.subdivision_count == 235
+    # one link per subdivision for its new empty triangles, plus one per
+    # repair candidate tested
+    assert calls["edge_link_structure"] == 334

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
+from pathlib import Path
 
 from .complexes import empty_triangles_of, is_flag, replay, verify_closed_3_manifold
 # not called here; imported so perfbench/run.py can trace these call sites
 from .complexes import f_vector, minimal_nonfaces  # noqa: F401
 from .coloring import (
+    PLANAR_STRATEGIES,
     PeelParams,
     certify_lower_bound,
     measure_alpha,
@@ -26,6 +27,7 @@ from .coloring import (
 from .cyclic import cyclic_4_sphere
 from .errors import FlagsphereError, ParseError
 from .flagify import flagify
+from .graphs import NODE_BUDGET
 from .io import (
     read_complex,
     read_graph,
@@ -35,23 +37,6 @@ from .io import (
     write_trace,
 )
 from .randomclique import RandomCliqueParams, run_experiment
-
-
-@dataclass(frozen=True)
-class StatsReport:
-    """The verify report; its JSON is dataclasses.asdict of it."""
-
-    f_vector: tuple[int, ...]
-    euler: int
-    is_flag: bool
-    manifold_checks: dict[str, bool]
-    empty_triangle_count: int
-    subdivision_count: int
-    chromatic_upper: int | None
-    chromatic_lower: int | None
-    alpha_lower: int
-    alpha_exact: int | None
-    conjecture_value: int
 
 
 def _emit(payload: dict) -> None:
@@ -89,8 +74,15 @@ def _peel_params(args) -> PeelParams:
         raise ParseError(f"bad peel option: {exc}") from exc
 
 
+def _check_budget(args) -> None:
+    """The --budget of verify and certify: 0 runs no exact search, below 0 is a ParseError."""
+    if args.budget < 0:
+        raise ParseError(f"--budget must be >= 0, got {args.budget}")
+
+
 def cmd_verify(args) -> int:
     params = _peel_params(args)
+    _check_budget(args)
     X = read_complex(args.infile)
     checks = verify_closed_3_manifold(X)
     flag = is_flag(X)
@@ -99,20 +91,21 @@ def cmd_verify(args) -> int:
     if flag and checks.passed:
         chromatic_upper = peel_color_unchecked(X, params).color_count
     alpha = measure_alpha(X, seed=args.seed, node_budget=args.budget)
-    report = StatsReport(
-        f_vector=checks.f_vector.counts,
-        euler=checks.f_vector.euler,
-        is_flag=flag,
-        manifold_checks=checks.as_dict(),
-        empty_triangle_count=empty_tris,
-        subdivision_count=X.subdivision_vertex_count(),
-        chromatic_upper=chromatic_upper,
-        chromatic_lower=None,
-        alpha_lower=alpha.greedy_size,
-        alpha_exact=alpha.exact_size,
-        conjecture_value=alpha.conjecture_value,
+    _emit(
+        {
+            "f_vector": checks.f_vector.counts,
+            "euler": checks.f_vector.euler,
+            "is_flag": flag,
+            "manifold_checks": checks.as_dict(),
+            "empty_triangle_count": empty_tris,
+            "subdivision_count": X.subdivision_vertex_count(),
+            "chromatic_upper": chromatic_upper,
+            "chromatic_lower": None,
+            "alpha_lower": alpha.greedy_size,
+            "alpha_exact": alpha.exact_size,
+            "conjecture_value": alpha.conjecture_value,
+        }
     )
-    _emit(asdict(report))
     return 0
 
 
@@ -127,19 +120,23 @@ def cmd_color(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    _check_budget(args)
     X = read_complex(args.infile)
     g = read_graph(args.graph)
-    report = certify_lower_bound(X, g, args.k, node_budget=args.budget)
+    try:
+        report = certify_lower_bound(X, g, args.k, node_budget=args.budget)
+    except ValueError as exc:
+        raise ParseError(f"bad certify option: {exc}") from exc
     _emit(report.as_dict())
     return 0
 
 
 def _config_value(raw: dict, key: str, kind: type, default=None):
-    """One random-clique config value converted to `kind`. A missing required
-    value, a boolean, or a fraction where an integer is wanted is a ParseError."""
-    if key not in raw and default is None:
-        raise ParseError(f"config missing required key {key!r}")
+    """One random-clique value, from the flags or the config, converted to `kind`.
+    A missing value, a boolean, or a fraction where an integer is wanted is a ParseError."""
     value = raw.get(key, default)
+    if value is None:
+        raise ParseError(f"random-clique needs a value for {key!r}")
     if isinstance(value, bool) or (
         kind is int and isinstance(value, float) and not value.is_integer()
     ):
@@ -151,6 +148,7 @@ def _config_value(raw: dict, key: str, kind: type, default=None):
 
 
 def cmd_random_clique(args) -> int:
+    raw = vars(args)
     if args.config:
         try:
             raw = json.loads(args.config.read_text(encoding="utf-8"))
@@ -158,16 +156,12 @@ def cmd_random_clique(args) -> int:
             raise ParseError(f"bad config JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
-        params = RandomCliqueParams(
-            n=_config_value(raw, "n", int),
-            alpha=_config_value(raw, "alpha", float),
-            d=_config_value(raw, "d", int, default=3),
-            seed=_config_value(raw, "seed", int),
-        )
-    else:
-        if args.n is None or args.alpha is None or args.seed is None:
-            raise ParseError("random-clique needs --config or all of --n/--alpha/--seed")
-        params = RandomCliqueParams(n=args.n, alpha=args.alpha, d=args.d, seed=args.seed)
+    params = RandomCliqueParams(
+        n=_config_value(raw, "n", int),
+        alpha=_config_value(raw, "alpha", float),
+        d=_config_value(raw, "d", int, default=RandomCliqueParams.d),
+        seed=_config_value(raw, "seed", int),
+    )
     _emit(run_experiment(params))
     return 0
 
@@ -194,6 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    peel = argparse.ArgumentParser(add_help=False)
+    peel.add_argument("--x", type=float, default=PeelParams.x)
+    peel.add_argument("--strategy", choices=PLANAR_STRATEGIES, default=PeelParams.planar_strategy)
+    peel.add_argument("--cap", type=int, default=PeelParams.exact4_cap)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=NODE_BUDGET)
+
     p = sub.add_parser("cyclic", help="generate a cyclic 4-sphere boundary complex")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -207,35 +208,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit", action="store_true")
     p.set_defaults(func=cmd_flagify)
 
-    p = sub.add_parser("verify", help="statistics and manifold checks for a complex")
+    p = sub.add_parser(
+        "verify", parents=[peel, budget], help="statistics and manifold checks for a complex"
+    )
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--x", type=float, default=math.sqrt(5.0))
-    p.add_argument("--strategy", choices=("exact4", "five", "greedy"), default="exact4")
-    p.add_argument("--cap", type=int, default=64)
-    p.add_argument("--budget", type=int, default=20_000_000)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("color", help="peel-color the skeleton of a flag 3-sphere")
+    p = sub.add_parser("color", parents=[peel], help="peel-color the skeleton of a flag 3-sphere")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--x", type=float, default=math.sqrt(5.0))
-    p.add_argument("--strategy", choices=("exact4", "five", "greedy"), default="exact4")
-    p.add_argument("--cap", type=int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_color)
 
-    p = sub.add_parser("certify", help="certify a chromatic lower bound via a subgraph")
+    p = sub.add_parser(
+        "certify", parents=[budget], help="certify a chromatic lower bound via a subgraph"
+    )
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=20_000_000)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("random-clique", help="random clique-complex experiment")
-    p.add_argument("--config", type=_path_arg, default=None)
+    p.add_argument("--config", type=Path, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--d", type=int, default=RandomCliqueParams.d)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_random_clique)
 
@@ -248,26 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _path_arg(value: str):
-    from pathlib import Path
-
-    return Path(value)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
         return 2
     except FlagsphereError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .graphs import (
     EXACT_ALPHA_LIMIT,
+    NODE_BUDGET,
     ChromaticResult,
     Coloring,
     Graph,
@@ -42,6 +43,7 @@ from .graphs import (
 )
 
 DEFAULT_X = math.sqrt(5.0)
+PLANAR_STRATEGIES = ("exact4", "five", "greedy")
 # explored-node cap of the exact 4-coloring of one peeled neighborhood
 EXACT4_NODE_BUDGET = 500_000
 
@@ -74,14 +76,14 @@ def peel_color_bound(p: int, x: float, n: int) -> int:
 @dataclass(frozen=True)
 class PeelParams:
     x: float = DEFAULT_X
-    planar_strategy: str = "exact4"  # exact4 | five | greedy
+    planar_strategy: str = "exact4"  # one of PLANAR_STRATEGIES
     exact4_cap: int = 64
     allow_fallback: bool = True
 
     def __post_init__(self):
         if not self.x > 0:  # also rejects nan
             raise ValueError("x must be positive")
-        if self.planar_strategy not in ("exact4", "five", "greedy"):
+        if self.planar_strategy not in PLANAR_STRATEGIES:
             raise ValueError(f"unknown planar strategy {self.planar_strategy!r}")
 
 
@@ -243,14 +245,16 @@ class CertificateReport:
 
 
 def certify_lower_bound(
-    X: SimplicialComplex, g: Graph, k: int, node_budget: int = 20_000_000
+    X: SimplicialComplex, g: Graph, k: int, node_budget: int = NODE_BUDGET
 ) -> CertificateReport:
     """Certify chi(skeleton of X) >= k via an embedded subgraph.
 
     Every edge of g must be present in X; the exact solver then proves g has
     no (k-1)-coloring by exhausting the search at k-1 colors, and chromatic
-    number is monotone under subgraphs.
+    number is monotone under subgraphs. A k < 2 certifies nothing: ValueError.
     """
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
     for u, v in g.edges:
         if not X.has_edge(u, v):
             raise SubgraphMissing(f"edge ({u}, {v}) of the graph is not in the complex")
@@ -286,7 +290,7 @@ class AlphaReport:
 
 
 def measure_alpha(
-    X: SimplicialComplex, seed: int, node_budget: int = 20_000_000
+    X: SimplicialComplex, seed: int, node_budget: int = NODE_BUDGET
 ) -> AlphaReport:
     """Greedy lower bound on the independence number, exact value when the
     skeleton is small, and the conjectured ceil((f0+1)/6) reference."""

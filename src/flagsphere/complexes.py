@@ -4,8 +4,8 @@ The central object is :class:`SimplicialComplex`: an antichain of equal-size
 facets over integer vertex ids, with a derived vertex adjacency cache and a
 provenance tag per vertex (original position vs. edge-subdivision vertex).
 Complexes are immutable after construction. Long runs of edge subdivisions
-go through :class:`ComplexBuilder`, a mutable copy with a vertex -> facets
-star index, which is frozen into a new complex once at the end.
+go through :class:`ComplexBuilder`, a mutable copy whose vertex -> facets
+stars are its one incidence record, frozen into a new complex at the end.
 """
 
 from __future__ import annotations
@@ -187,22 +187,27 @@ def _derive_star(facets) -> dict[int, set[frozenset[int]]]:
 class ComplexBuilder:
     """Mutable copy of a complex for long runs of edge subdivisions.
 
-    It holds the facet set, each vertex's star (the facets containing it),
-    the adjacency sets, the tags, the next free vertex id and the count of
-    subdivision steps. subdivide() costs O(size of the smaller endpoint
+    It holds each vertex's star (the facets containing it), the adjacency
+    sets, the tags, the next free vertex id and the count of subdivision
+    steps. The stars are the builder's one incidence record: the facet set
+    is read from them. subdivide() costs O(size of the smaller endpoint
     star), where subdivide_edge() copies the whole complex; freeze()
     returns an immutable SimplicialComplex and leaves the builder usable.
     """
 
-    __slots__ = ("facets", "star", "adj", "tags", "next_id", "steps")
+    __slots__ = ("star", "adj", "tags", "next_id", "steps")
 
     def __init__(self, X: SimplicialComplex):
-        self.facets = set(X.facets)
         self.star = _derive_star(X.facets)
         self.adj = {v: set(nbrs) for v, nbrs in X._adj.items()}
         self.tags = dict(X.tags)
         self.next_id = max(X.tags) + 1 if X.tags else 0
         self.steps = X.subdivision_vertex_count()
+
+    @property
+    def facets(self) -> frozenset[frozenset[int]]:
+        """Every facet: the union of the stars."""
+        return frozenset().union(*self.star.values())
 
     def is_original(self, v: int) -> bool:
         return isinstance(self.tags[v], OriginalTag)
@@ -210,14 +215,13 @@ class ComplexBuilder:
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
 
-    def _edge_star(self, edge) -> tuple[frozenset[int], list[frozenset[int]]]:
-        """The checked vertex pair and the facets holding it, from the smaller star."""
+    def _edge_star(self, edge) -> tuple[frozenset[int], set[frozenset[int]]]:
+        """The checked vertex pair and the facets holding it, both stars' intersection."""
         e = frozenset(edge)
         if len(e) != 2:
             raise NotAnEdge(f"{sorted(e)} is not a vertex pair")
         u, v = e
-        smaller = min(self.star.get(u, ()), self.star.get(v, ()), key=len)
-        facets = [facet for facet in smaller if e <= facet]
+        facets = self.star.get(u, set()) & self.star.get(v, set())
         if not facets:
             raise NotAnEdge(f"{sorted(e)} is not an edge")
         return e, facets
@@ -241,11 +245,9 @@ class ComplexBuilder:
         link_verts: set[int] = set()
         for facet in facets:
             rest = facet - e
-            self.facets.remove(facet)
             for x in facet:
                 star[x].remove(facet)
             for half in (rest | {u, w}, rest | {v, w}):
-                self.facets.add(half)
                 for x in half:
                     star[x].add(half)
             link_verts |= rest
@@ -258,13 +260,13 @@ class ComplexBuilder:
 
     def indexes_consistent(self) -> bool:
         """True iff the star and the adjacency equal a recomputation from the facets."""
-        facets = frozenset(self.facets)
+        facets = self.facets
         return self.star == _derive_star(facets) and self.adj == _derive_adjacency(facets)
 
     def freeze(self) -> SimplicialComplex:
         """An immutable copy of the current complex."""
         return SimplicialComplex(
-            frozenset(self.facets),
+            self.facets,
             dict(self.tags),
             {v: set(nbrs) for v, nbrs in self.adj.items()},
         )
@@ -453,14 +455,16 @@ def _facet_incidence(X: SimplicialComplex) -> tuple[Counter, dict[int, list[tupl
 
 
 def _link_is_2_sphere(neighbors: set[int], triangles) -> bool:
-    """Is the link with these vertices and triangles connected with euler
-    characteristic 2? Only for a complex whose ridges each lie in two facets:
-    then each link edge lies in two triangles, so the link has 3F/2 edges.
-    Each pass of the walk absorbs the triangles that meet the component."""
+    """Is the link with these vertices and triangles a 2-sphere? Only for a
+    complex whose ridges each lie in two facets: then each link edge lies in
+    two triangles, so the link has 3F/2 edges. Each pass of the walk absorbs
+    the triangles that share a side (link edge) with the component. A link so
+    connected, pinched at k vertices, has euler <= 2 - k: 2 means a sphere."""
     faces = len(triangles)
     if len(neighbors) - 3 * faces // 2 + faces != 2:
         return False
-    component, rest = set(triangles[0]), triangles
+    sides = [((a, b), (a, c), (b, c)) for a, b, c in triangles]
+    component, rest = set(sides[0]), sides
     while True:
         left = []
         for t in rest:
@@ -469,7 +473,7 @@ def _link_is_2_sphere(neighbors: set[int], triangles) -> bool:
             else:
                 component.update(t)
         if len(left) in (0, len(rest)):
-            return len(component) == len(neighbors)
+            return not left
         rest = left
 
 
@@ -477,8 +481,8 @@ def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
     """Check the combinatorial closed-3-manifold conditions.
 
     (a) every 2-face lies in exactly two facets, (b) the complex is
-    connected, (c) every vertex link is a closed connected surface with
-    euler characteristic 2, (d) euler(X) = 0.
+    connected, (c) every vertex link is a 2-sphere: a closed surface,
+    connected across its edges, with euler characteristic 2, (d) euler(X) = 0.
     """
     if X.dimension != 3:
         raise WrongDimension(f"expected a pure 3-complex, got dimension {X.dimension}")

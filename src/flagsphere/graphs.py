@@ -19,6 +19,8 @@ from .errors import SolverTimeout
 
 # largest vertex count whose independence number the reports solve exactly
 EXACT_ALPHA_LIMIT = 60
+# default explored-node cap of the solvers and of the CLI's --budget
+NODE_BUDGET = 20_000_000
 
 
 class Graph:
@@ -329,7 +331,7 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
 
 
 def chromatic_number_exact(
-    g: Graph, limit: int | None = None, node_budget: int = 20_000_000
+    g: Graph, limit: int | None = None, node_budget: int = NODE_BUDGET
 ) -> ChromaticResult:
     """Exact chromatic number with witness, or proof that chi > limit.
 

@@ -19,6 +19,7 @@ from flagsphere import (
     cyclic_4_sphere,
     f_vector,
     grotzsch_graph,
+    link,
     minimal_nonfaces,
     mycielskian,
 )
@@ -147,21 +148,30 @@ def facet_incidence_reference(
 
 
 def link_check_reference(triangles) -> bool:
-    """Is this set of triangles a closed connected surface with euler 2?
+    """Is this set of triangles a 2-sphere: a connected closed surface with
+    euler 2 and no pinched vertex?
 
     Each residue t - {u} is the edge of t opposite u and holds u's two
-    neighbours in t, so one pass counts the edges and builds the adjacency.
+    neighbours in t, so one pass counts the edges, builds the adjacency and
+    collects the edges opposite each vertex u, which must form one cycle
+    (u's link in the surface) where the surface is not pinched at u.
     """
     edge_count: dict[frozenset[int], int] = {}
     adj: dict[int, set[int]] = {}
+    rings: dict[int, dict[int, set[int]]] = {}
     for t in triangles:
         for u in t:
             e = t - {u}
             edge_count[e] = edge_count.get(e, 0) + 1
             adj.setdefault(u, set()).update(e)
+            a, b = e
+            ring = rings.setdefault(u, {})
+            ring.setdefault(a, set()).add(b)
+            ring.setdefault(b, set()).add(a)
     return (
         all(c == 2 for c in edge_count.values())
         and _connected(adj, adj)
+        and all(_connected(ring, ring) for ring in rings.values())
         and len(adj) - len(edge_count) + len(triangles) == 2
     )
 
@@ -172,8 +182,8 @@ def verify_closed_3_manifold_reference(X: SimplicialComplex) -> VerificationRepo
     characteristic read from the f-vector.
 
     (a) every 2-face lies in exactly two facets, (b) the complex is
-    connected, (c) every vertex link is a closed connected surface with
-    euler characteristic 2, (d) euler(X) = 0.
+    connected, (c) every vertex link is a 2-sphere: a connected closed
+    surface, pinched at no vertex, with euler characteristic 2, (d) euler(X) = 0.
     """
     if X.dimension != 3:
         raise WrongDimension(f"expected a pure 3-complex, got dimension {X.dimension}")
@@ -192,8 +202,9 @@ def verify_closed_3_manifold_reference(X: SimplicialComplex) -> VerificationRepo
 
 def link_is_2_sphere_reference(triangles) -> bool:
     """Oracle for the manifold link check: build the link as a complex, then
-    test its ridge counts, its connectivity and the Euler characteristic of
-    its f-vector."""
+    test its ridge counts, its connectivity, that each of its vertex links is
+    connected (one cycle, so no pinched vertex) and the Euler characteristic
+    of its f-vector."""
     lk = SimplicialComplex(
         frozenset(triangles), {u: OriginalTag(u + 1) for t in triangles for u in t}
     )
@@ -204,6 +215,10 @@ def link_is_2_sphere_reference(triangles) -> bool:
         return False
     if not _connected(lk.vertices, lk._adj):
         return False
+    for u in lk.vertices:
+        ring = link(lk, (u,))
+        if not _connected(ring.vertices, ring._adj):
+            return False
     return f_vector(lk).euler == 2
 
 

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from flagsphere import Graph, grotzsch_graph
-from flagsphere.cli import main
+from flagsphere import Graph, PeelParams, grotzsch_graph
+from flagsphere.cli import build_parser, main
+from flagsphere.graphs import NODE_BUDGET
 from flagsphere.io import read_complex, write_graph
+from flagsphere.randomclique import RandomCliqueParams
 
 
 def run(capsys, *argv):
@@ -191,6 +193,29 @@ def test_certify_command(tmp_path, capsys):
     assert report["certified"] and report["witness_type"] == "exceedance"
 
 
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("certify", ("--k", "1")),
+        ("certify", ("--k", "0")),
+        ("certify", ("--k", "-1")),
+        ("certify", ("--k", "3", "--budget", "-1")),
+        ("verify", ("--seed", "1", "--budget", "-1")),
+    ],
+    ids=["k1", "k0", "k-1", "certify-budget-1", "verify-budget-1"],
+)
+def test_vacuous_bound_or_negative_budget_exit_two(tmp_path, capsys, command, extra):
+    # chi >= k certifies nothing for k < 2, and a negative node budget is no budget
+    gfile = tmp_path / "c5.txt"
+    write_graph(Graph.cycle(5), gfile)
+    sphere = tmp_path / "f.txt"
+    run(capsys, "flagify", "--graph", str(gfile), "--n", "6", "--out", str(sphere))
+    graph = ("--graph", str(gfile)) if command == "certify" else ()
+    code, stdout, err = run(capsys, command, "--in", str(sphere), *graph, *extra)
+    assert (code, stdout) == (2, "")
+    assert "ParseError" in err
+
+
 def test_certify_failure_exit_one(tmp_path, capsys):
     gfile = tmp_path / "c5.txt"
     write_graph(Graph.cycle(5), gfile)
@@ -213,6 +238,10 @@ def test_random_clique_config_and_flags_agree(tmp_path, capsys):
     )
     assert code == 0
     assert out1 == out2
+    # both forms take the same default d
+    cfg.write_text(json.dumps({"n": 50, "alpha": 0.55, "seed": 4}))
+    code, out3, _ = run(capsys, "random-clique", "--config", str(cfg))
+    assert (code, out3) == (0, out1)
 
 
 def test_random_clique_missing_seed_exit_two(tmp_path, capsys):
@@ -221,6 +250,25 @@ def test_random_clique_missing_seed_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "random-clique", "--config", str(cfg))
     assert code == 2
     assert "seed" in err
+
+
+def test_random_clique_flags_missing_seed_exit_two(capsys):
+    code, out, err = run(capsys, "random-clique", "--n", "50", "--alpha", "0.55")
+    assert (code, out) == (2, "")
+    assert "ParseError" in err and "'seed'" in err
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    peel = PeelParams()
+    for argv in (["verify", "--in", "s", "--seed", "1"], ["color", "--in", "s"]):
+        args = parse(argv)
+        assert (args.x, args.strategy, args.cap) == (
+            peel.x, peel.planar_strategy, peel.exact4_cap
+        )
+    assert parse(["verify", "--in", "s", "--seed", "1"]).budget == NODE_BUDGET
+    assert parse(["certify", "--in", "s", "--graph", "g", "--k", "3"]).budget == NODE_BUDGET
+    assert parse(["random-clique"]).d == RandomCliqueParams.d
 
 
 @pytest.mark.parametrize(

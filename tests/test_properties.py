@@ -133,10 +133,22 @@ SPHERE_AND_TORUS = frozenset(
     ]
 )
 
+# two octahedra with the poles 0 and 1 in common (rings 2-5 and 6-9): every
+# edge lies in two triangles, the union is connected through its vertices and
+# V - E + F = 10 - 24 + 16 = 2, but it is two spheres pinched at two points,
+# so only a walk across shared edges rejects it
+PINCHED_SPHERES = frozenset(
+    frozenset((pole, ring[i], ring[(i + 1) % 4]))
+    for ring in ((2, 3, 4, 5), (6, 7, 8, 9))
+    for i in range(4)
+    for pole in (0, 1)
+)
+
 
 @fixed
 @given(triangle_sets())
 @example(SPHERE_AND_TORUS)
+@example(PINCHED_SPHERES)
 def test_link_sphere_check_matches_the_complex_oracle(triangles):
     expected = link_is_2_sphere_reference(triangles)
     assert link_check_reference(triangles) == expected
@@ -153,6 +165,12 @@ def test_link_sphere_check_matches_the_complex_oracle(triangles):
 # disconnected
 SUSPENDED_SPHERE_AND_TORUS = build_from_facets(
     [t | {apex} for t in SPHERE_AND_TORUS for apex in (11, 12)]
+)
+# the suspension of PINCHED_SPHERES (32 facets): a flag complex, connected,
+# with every ridge in two facets, euler 0 and every vertex link connected
+# with euler 2, but the links of 0, 1 and both apexes are pinched
+PINCHED_SUSPENSION = build_from_facets(
+    [t | {apex} for t in PINCHED_SPHERES for apex in (10, 11)]
 )
 
 
@@ -174,6 +192,7 @@ def nearly_spheres(draw):
 @fixed
 @given(nearly_spheres())
 @example(SUSPENDED_SPHERE_AND_TORUS)
+@example(PINCHED_SUSPENSION)
 def test_manifold_report_matches_the_reference(X):
     assert verify_closed_3_manifold(X) == verify_closed_3_manifold_reference(X)
 
@@ -182,6 +201,19 @@ def test_suspended_sphere_and_torus_fails_only_the_link_check():
     report = verify_closed_3_manifold(SUSPENDED_SPHERE_AND_TORUS)
     assert report.two_faces_in_two_facets and report.connected and report.euler_zero
     assert not report.vertex_links_are_2_spheres
+
+
+def test_pinched_suspension_is_not_a_manifold_and_color_refuses_it(tmp_path, capsys):
+    X = PINCHED_SUSPENSION
+    assert X.facet_count == 32 and is_flag(X)
+    report = verify_closed_3_manifold(X)
+    assert report.two_faces_in_two_facets and report.connected and report.euler_zero
+    assert not report.vertex_links_are_2_spheres and not report.passed
+    path = tmp_path / "pinched.txt"
+    write_complex(X, path)
+    assert main(["color", "--in", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("NotManifold:")
 
 
 @fixed

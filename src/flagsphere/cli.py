@@ -133,18 +133,20 @@ def cmd_certify(args) -> int:
 
 def _config_value(raw: dict, key: str, kind: type, default=None):
     """One random-clique value, from the flags or the config, converted to `kind`.
-    A missing value, a boolean, or a fraction where an integer is wanted is a ParseError."""
+    A missing value, anything but an int or a float (a string, a boolean), or a
+    fraction where an integer is wanted is a ParseError."""
     value = raw.get(key, default)
     if value is None:
         raise ParseError(f"random-clique needs a value for {key!r}")
-    if isinstance(value, bool) or (
+    # type(), not isinstance(): a bool is an int, and int() and float() parse strings
+    if type(value) not in (int, float) or (
         kind is int and isinstance(value, float) and not value.is_integer()
     ):
         raise ParseError(f"config value {key!r} must be {kind.__name__}, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"config values must be numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise ParseError(f"config value {key!r} is out of range: {exc}") from exc
 
 
 def cmd_random_clique(args) -> int:

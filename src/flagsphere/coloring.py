@@ -150,21 +150,20 @@ def _color_planar_patch(g: Graph, params: PeelParams) -> Coloring:
     """Color one peeled neighborhood graph according to the strategy."""
     if params.planar_strategy == "greedy":
         return greedy_degeneracy_color(g)
-    if params.planar_strategy == "exact4" and g.n <= params.exact4_cap:
-        try:
-            found = _k_colorable(g, 4, _Budget(EXACT4_NODE_BUDGET))
-        except SolverTimeout:
-            found = None
+    if params.planar_strategy == "exact4":
+        found = None
+        if g.n <= params.exact4_cap:
+            try:
+                found = _k_colorable(g, 4, _Budget(EXACT4_NODE_BUDGET))
+            except SolverTimeout:
+                pass
         if found is not None:
             return Coloring.from_assignment({v: found[v] for v in range(g.n)})
         if not params.allow_fallback:
             raise PlanarStrategyFailure(
-                f"exact 4-coloring unavailable for a {g.n}-vertex neighborhood"
+                f"exact4 found no 4-coloring of a {g.n}-vertex neighborhood within its"
+                f" caps of {params.exact4_cap} vertices and {EXACT4_NODE_BUDGET} search nodes"
             )
-    elif params.planar_strategy == "exact4" and not params.allow_fallback:
-        raise PlanarStrategyFailure(
-            f"neighborhood of {g.n} vertices exceeds exact4 cap {params.exact4_cap}"
-        )
     return five_color_planar(g)
 
 

@@ -6,6 +6,9 @@ provenance tag per vertex (original position vs. edge-subdivision vertex).
 Complexes are immutable after construction. Long runs of edge subdivisions
 go through :class:`ComplexBuilder`, a mutable copy whose vertex -> facets
 stars are its one incidence record, frozen into a new complex at the end.
+Every face is a sorted tuple of vertex ids. :func:`build_from_facets` sorts
+outside facets once; every other face is made from sorted ones in order, so
+no consumer sorts a facet again.
 """
 
 from __future__ import annotations
@@ -85,16 +88,17 @@ class SimplicialComplex:
     """Pure simplicial complex stored by its facets.
 
     Vertex ids are arbitrary non-negative integers (links keep the ambient
-    ids of their parent complex). Facets are frozensets of equal size
-    forming an antichain; adjacency is derived from the facets. Do not call
-    the constructor directly for user data, use :func:`build_from_facets`.
+    ids of their parent complex). Facets are sorted vertex tuples of equal
+    size forming an antichain; adjacency is derived from the facets. The
+    constructor trusts its facets to be such tuples and checks nothing: for
+    user data use :func:`build_from_facets`, which sorts and validates.
     """
 
     __slots__ = ("facets", "tags", "_adj", "_vertices")
 
     def __init__(
         self,
-        facets: frozenset[frozenset[int]],
+        facets: frozenset[tuple[int, ...]],
         tags: dict[int, VertexTag],
         adjacency: dict[int, set[int]] | None = None,
     ):
@@ -163,7 +167,7 @@ class SimplicialComplex:
         )
 
 
-def _derive_adjacency(facets: frozenset[frozenset[int]]) -> dict[int, set[int]]:
+def _derive_adjacency(facets: frozenset[tuple[int, ...]]) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {}
     for facet in facets:
         for v in facet:
@@ -176,8 +180,8 @@ def _derive_adjacency(facets: frozenset[frozenset[int]]) -> dict[int, set[int]]:
     return adj
 
 
-def _derive_star(facets) -> dict[int, set[frozenset[int]]]:
-    star: dict[int, set[frozenset[int]]] = {}
+def _derive_star(facets) -> dict[int, set[tuple[int, ...]]]:
+    star: dict[int, set[tuple[int, ...]]] = {}
     for facet in facets:
         for v in facet:
             star.setdefault(v, set()).add(facet)
@@ -187,7 +191,7 @@ def _derive_star(facets) -> dict[int, set[frozenset[int]]]:
 class ComplexBuilder:
     """Mutable copy of a complex for long runs of edge subdivisions.
 
-    It holds each vertex's star (the facets containing it), the adjacency
+    It holds each vertex's star (its facets, as sorted tuples), the adjacency
     sets, the tags, the next free vertex id and the count of subdivision
     steps. The stars are the builder's one incidence record: the facet set
     is read from them. subdivide() costs O(size of the smaller endpoint
@@ -205,7 +209,7 @@ class ComplexBuilder:
         self.steps = X.subdivision_vertex_count()
 
     @property
-    def facets(self) -> frozenset[frozenset[int]]:
+    def facets(self) -> frozenset[tuple[int, ...]]:
         """Every facet: the union of the stars."""
         return frozenset().union(*self.star.values())
 
@@ -215,45 +219,42 @@ class ComplexBuilder:
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
 
-    def _edge_star(self, edge) -> tuple[frozenset[int], set[frozenset[int]]]:
-        """The checked vertex pair and the facets holding it, both stars' intersection."""
-        e = frozenset(edge)
+    def _edge_star(self, edge) -> tuple[int, int, set[tuple[int, ...]]]:
+        """The checked pair u < v and the facets holding it: both stars' intersection."""
+        e = sorted(set(edge))
         if len(e) != 2:
-            raise NotAnEdge(f"{sorted(e)} is not a vertex pair")
+            raise NotAnEdge(f"{e} is not a vertex pair")
         u, v = e
         facets = self.star.get(u, set()) & self.star.get(v, set())
         if not facets:
-            raise NotAnEdge(f"{sorted(e)} is not an edge")
-        return e, facets
+            raise NotAnEdge(f"{e} is not an edge")
+        return u, v, facets
 
-    def edge_link_structure(self, edge) -> tuple[set[int], set[frozenset[int]]]:
+    def edge_link_structure(self, edge) -> tuple[set[int], set[tuple[int, ...]]]:
         """Vertices and edges of the link of an edge (facet residues)."""
-        e, facets = self._edge_star(edge)
-        residues = {facet - e for facet in facets}
+        u, v, facets = self._edge_star(edge)
+        residues = {tuple([x for x in facet if x != u and x != v]) for facet in facets}
         return set().union(*residues), residues
 
     def subdivide(self, edge) -> int:
         """Subdivide an edge in place (see subdivide_edge); returns the new vertex."""
-        e, facets = self._edge_star(edge)
-        u, v = sorted(e)
+        u, v, facets = self._edge_star(edge)
         adj, star = self.adj, self.star
         w = self.next_id
         self.next_id += 1
         self.steps += 1
         self.tags[w] = SubdivisionTag(parent_edge=(u, v), step=self.steps)
         star[w] = set()
-        link_verts: set[int] = set()
         for facet in facets:
-            rest = facet - e
             for x in facet:
                 star[x].remove(facet)
-            for half in (rest | {u, w}, rest | {v, w}):
+            i, j = facet.index(u), facet.index(v)  # w > every id: halves stay sorted
+            for half in (facet[:j] + facet[j + 1 :] + (w,), facet[:i] + facet[i + 1 :] + (w,)):
                 for x in half:
                     star[x].add(half)
-            link_verts |= rest
         adj[u].remove(v)
         adj[v].remove(u)
-        adj[w] = {u, v} | link_verts
+        adj[w] = set().union(*facets)
         for x in adj[w]:
             adj[x].add(w)
         return w
@@ -277,29 +278,28 @@ def build_from_facets(
 ) -> SimplicialComplex:
     """Validate facets (nonempty, pure, antichain) and build a complex.
 
+    Facets are any iterables of vertex ids, each sorted here into a tuple.
     Untagged vertices default to OriginalTag(position=id+1), matching the
     1-based position convention used in reports.
     """
-    facet_sets = [frozenset(f) for f in facets]
-    if not facet_sets:
+    facet_tuples = [tuple(sorted(set(f))) for f in facets]
+    if not facet_tuples:
         raise EmptyInput("no facets given")
-    sizes = {len(f) for f in facet_sets}
+    sizes = {len(f) for f in facet_tuples}
     if 0 in sizes:
         raise EmptyInput("empty facet given")
-    unique = set(facet_sets)
-    if len(unique) != len(facet_sets):
+    unique = set(facet_tuples)
+    if len(unique) != len(facet_tuples):
         raise DominatedFacet("duplicate facet given")
     if len(sizes) != 1:
         # a proper subset pair is reported as domination, not impurity
         by_size = sorted(unique, key=len)
         for i, small in enumerate(by_size):
             for big in by_size[i + 1 :]:
-                if small < big:
-                    raise DominatedFacet(
-                        f"facet {sorted(small)} is contained in {sorted(big)}"
-                    )
+                if set(small) < set(big):
+                    raise DominatedFacet(f"facet {list(small)} is contained in {list(big)}")
         raise NonPure(f"facet cardinalities {sorted(sizes)} are mixed")
-    verts = sorted(set().union(*facet_sets))
+    verts = sorted(set().union(*unique))
     if verts[0] < 0:
         raise UnknownVertex(f"negative vertex id {verts[0]}")
     full_tags: dict[int, VertexTag] = {}
@@ -311,18 +311,19 @@ def build_from_facets(
     return SimplicialComplex(frozenset(unique), full_tags)
 
 
-def _check_vertices_known(X: SimplicialComplex, face) -> frozenset[int]:
+def _cofacets(X: SimplicialComplex, face):
+    """The checked face as a set, and a lazy scan of its cofacets that tests one vertex first."""
     fs = frozenset(face)
     for v in fs:
         if v not in X._adj:
             raise UnknownVertex(f"vertex {v} not in complex")
-    return fs
+    v = next(iter(fs), None)
+    return fs, (f for f in X.facets if (v is None or v in f) and fs.issubset(f))
 
 
 def is_face(X: SimplicialComplex, face) -> bool:
     """True iff the vertex set is contained in some facet."""
-    fs = _check_vertices_known(X, face)
-    return any(fs <= facet for facet in X.facets)
+    return next(_cofacets(X, face)[1], None) is not None
 
 
 def link(X: SimplicialComplex, face) -> SimplicialComplex:
@@ -331,11 +332,11 @@ def link(X: SimplicialComplex, face) -> SimplicialComplex:
     The link of a facet is the empty complex (is_empty reports it).
     Vertices keep their ambient ids and tags.
     """
-    fs = _check_vertices_known(X, face)
-    residues = {facet - fs for facet in X.facets if fs <= facet}
+    fs, cofacets = _cofacets(X, face)
+    residues = {tuple([x for x in facet if x not in fs]) for facet in cofacets}
     if not residues:
         raise NotAFace(f"{sorted(fs)} is not a face")
-    if residues == {frozenset()}:
+    if residues == {()}:
         return SimplicialComplex(frozenset(), {})
     verts = set().union(*residues)
     tags = {v: X.tags[v] for v in verts}
@@ -344,11 +345,11 @@ def link(X: SimplicialComplex, face) -> SimplicialComplex:
 
 def _faces(X: SimplicialComplex, k: int) -> set[tuple[int, ...]]:
     """All faces of cardinality k, as the sorted k-subsets of the facets."""
-    return {sub for facet in X.facets for sub in itertools.combinations(sorted(facet), k)}
+    return {sub for facet in X.facets for sub in itertools.combinations(facet, k)}
 
 
-def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[frozenset[int]]:
-    """All inclusion-minimal non-faces with at most max_size vertices.
+def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[tuple[int, ...]]:
+    """All inclusion-minimal non-faces of at most max_size vertices, as sorted tuples.
 
     Size-2 entries are the non-edges. A minimal non-face of size k >= 3 is a
     clique of the adjacency graph that is not a face but all of whose
@@ -356,13 +357,13 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[frozenset[int]]
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2")
-    result: set[frozenset[int]] = set()
+    result: set[tuple[int, ...]] = set()
     verts = X.vertices
     adj = X._adj
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:
             if v not in adj[u]:
-                result.add(frozenset((u, v)))
+                result.add((u, v))
     faces = {k: _faces(X, k) for k in range(2, min(max_size, X.dimension + 1) + 1)}
     for clique in cliques(adj, max_size):
         k = len(clique)
@@ -370,7 +371,7 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[frozenset[int]]
             continue
         base = faces.get(k - 1, ())
         if all(sub in base for sub in itertools.combinations(clique, k - 1)):
-            result.add(frozenset(clique))
+            result.add(clique)
     return result
 
 
@@ -441,13 +442,13 @@ def _connected(vertices, adj) -> bool:
 
 
 def _facet_incidence(X: SimplicialComplex) -> tuple[Counter, dict[int, list[tuple[int, ...]]]]:
-    """One pass over the facets of a 3-complex, each sorted once: how many
-    facets contain each ridge, and each vertex's star as its facet residues
+    """One pass over the sorted facets of a 3-complex: how many facets
+    contain each ridge, and each vertex's star as its facet residues
     facet - {v} (the triangles of its link), which are the facet's ridges."""
     star: dict[int, list[tuple[int, ...]]] = {v: [] for v in X.vertices}
     ridges = []
     for facet in X.facets:
-        a, b, c, d = sorted(facet)
+        a, b, c, d = facet
         for v, residue in ((a, (b, c, d)), (b, (a, c, d)), (c, (a, b, d)), (d, (a, b, c))):
             star[v].append(residue)
             ridges.append(residue)

@@ -119,13 +119,13 @@ def _alive(adj: dict[int, set[int]], t: Triangle) -> bool:
     return b in adj[a] and c in adj[a] and c in adj[b]
 
 
-def _cascade_pairs(builder: ComplexBuilder, edge) -> set[frozenset[int]]:
+def _cascade_pairs(builder: ComplexBuilder, edge) -> set[tuple[int, int]]:
     """Pairs on the link cycle of `edge` that are adjacent in the complex but
     not link-adjacent: the empty-triangle partners a fresh vertex on `edge`
     gets, or, for a half-edge u-w, has got."""
     verts, link_edges = edge_link_structure(builder, edge)
     adj = builder.adj
-    near = {frozenset((x, y)) for x, y in itertools.combinations(verts, 2) if y in adj[x]}
+    near = {(x, y) for x, y in itertools.combinations(sorted(verts), 2) if y in adj[x]}
     return near - link_edges
 
 
@@ -155,9 +155,8 @@ def _subdivide(state: FlagifyState, edge: tuple[int, int], round_start: int) -> 
             f"subdividing {[u, v]} created {len(born_pairs)} empty triangles; "
             f"trail: {_trail(state)}"
         )
-    for pair in born_pairs:
+    for x, y in born_pairs:
         # w is the largest id so far, so the sorted triangle ends with it
-        x, y = sorted(pair)
         if not (builder.is_original(x) and builder.is_original(y)):
             raise InvariantViolation(
                 f"new empty triangle {[x, y, w]} has a non-original partner; "

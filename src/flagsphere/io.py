@@ -37,7 +37,7 @@ def _data_lines(text: str) -> list[str]:
 
 def write_complex(X: SimplicialComplex, path: str | Path) -> None:
     lines = ["# flagsphere complex: one facet per line"]
-    for facet in sorted(tuple(sorted(f)) for f in X.facets):
+    for facet in sorted(X.facets):
         lines.append(" ".join(str(v) for v in facet))
     lines.append("tags:")
     for v in X.vertices:

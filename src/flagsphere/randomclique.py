@@ -216,7 +216,6 @@ def run_experiment(params: RandomCliqueParams) -> dict:
     test every link in one clique pass, count what pruning removes."""
     g = sample_graph(params)
     face_counts, fraction, bad = clique_census(g, params.d)
-    bounds = independence_bound_report(g, params)
     return {
         "n": params.n,
         "alpha": params.alpha,
@@ -227,9 +226,5 @@ def run_experiment(params: RandomCliqueParams) -> dict:
         "forest_fraction": fraction,
         "removed": len(bad),
         "surviving_vertices": g.n - len(bad),
-        "greedy_alpha": bounds["greedy_alpha"],
-        "exact_alpha": bounds["exact_alpha"],
-        "reference_curve": bounds["reference_curve"],
-        "ratio": bounds["ratio"],
-        "degenerate": bounds["degenerate"],
+        **independence_bound_report(g, params),
     }

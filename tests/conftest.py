@@ -84,6 +84,12 @@ def icosahedron_graph():
     return Graph(12, edges)
 
 
+def face_sets(faces) -> set[frozenset[int]]:
+    """Sorted-tuple faces as frozensets, to compare them with set literals
+    and with the set-based oracles below."""
+    return {frozenset(f) for f in faces}
+
+
 def minimal_nonfaces_bruteforce(X, max_size: int) -> set[frozenset[int]]:
     """Oracle for minimal_nonfaces: test every vertex subset up to max_size.
 
@@ -139,7 +145,7 @@ def facet_incidence_reference(
     """
     ridge_count: dict[frozenset[int], int] = {}
     star: dict[int, list[frozenset[int]]] = {v: [] for v in X.vertices}
-    for facet in X.facets:
+    for facet in map(frozenset, X.facets):
         for v in facet:
             residue = facet - {v}
             ridge_count[residue] = ridge_count.get(residue, 0) + 1
@@ -206,7 +212,8 @@ def link_is_2_sphere_reference(triangles) -> bool:
     connected (one cycle, so no pinched vertex) and the Euler characteristic
     of its f-vector."""
     lk = SimplicialComplex(
-        frozenset(triangles), {u: OriginalTag(u + 1) for t in triangles for u in t}
+        frozenset(tuple(sorted(t)) for t in triangles),
+        {u: OriginalTag(u + 1) for t in triangles for u in t},
     )
     if lk.is_empty or lk.dimension != 2:
         return False
@@ -236,7 +243,7 @@ class ReferenceState:
 def edge_link_structure_scan(X, edge) -> tuple[set[int], set[frozenset[int]]]:
     """Vertices and edges of the link of an edge, by a scan of every facet."""
     e = frozenset(edge)
-    residues = [facet - e for facet in X.facets if e <= facet]
+    residues = [facet - e for facet in map(frozenset, X.facets) if e <= facet]
     assert residues, f"{sorted(e)} is not an edge"
     return set().union(*residues), set(residues)
 
@@ -250,7 +257,7 @@ def subdivide_edge_scan(X, edge) -> tuple[SimplicialComplex, int]:
     assert X.has_edge(u, v), f"{sorted(e)} is not an edge"
     w = max(X.tags) + 1
     facets = []
-    for facet in X.facets:
+    for facet in map(frozenset, X.facets):
         if e <= facet:
             facets += [facet - {v} | {w}, facet - {u} | {w}]
         else:
@@ -321,7 +328,7 @@ def reference_start(g: Graph, n: int) -> ReferenceState:
     # the sphere is 2-neighborly, so its minimal non-faces of size <= 3 are
     # the empty triangles; taking them from here, not from the closed form in
     # cyclic.empty_triangles, makes every flagify comparison check that too
-    triangles = frozenset(minimal_nonfaces(sphere.complex, 3))
+    triangles = frozenset(face_sets(minimal_nonfaces(sphere.complex, 3)))
     return ReferenceState(sphere.complex, g, (), triangles, 0)
 
 

@@ -46,6 +46,7 @@ from conftest import (
     brute_chromatic,
     brute_k_colorable,
     expected_forest_fraction,
+    face_sets,
     minimal_nonfaces_bruteforce,
 )
 
@@ -90,7 +91,7 @@ def test_criterion_1_cyclic_polytope_correctness():
         ok &= X.facet_count == n * (n - 3) // 2
         ok &= len(X.edges()) == n * (n - 1) // 2
         ok &= verify_closed_3_manifold(X).passed
-        mnf = minimal_nonfaces(X, 5)
+        mnf = face_sets(minimal_nonfaces(X, 5))
         cycle_pairs = {frozenset((i, (i + 1) % n)) for i in range(n)}
         independent_triples = {
             frozenset(t)
@@ -123,14 +124,14 @@ def test_criterion_2_subdivision_delta_law():
         for seed in range(1, 11):
             rng = random.Random(100 * n + seed)
             X = cyclic_4_sphere(n).complex
-            before = minimal_nonfaces(X, 5)
+            before = face_sets(minimal_nonfaces(X, 5))
             for _ in range(20):
                 edge = rng.choice(X.edges())
                 u, v = sorted(edge)
                 prior_max = max(len(f) for f in before)
-                star = set().union(*(f for f in X.facets if frozenset(edge) <= f))
+                star = set().union(*(f for f in X.facets if frozenset(edge) <= frozenset(f)))
                 Y, w = subdivide_edge(X, edge)
-                after = minimal_nonfaces(Y, 5)
+                after = face_sets(minimal_nonfaces(Y, 5))
                 events += 1
                 for nf in after - before:
                     if nf == frozenset({u, v}):

@@ -285,6 +285,10 @@ def test_parser_defaults_are_the_library_defaults():
         {"n": 50, "alpha": 0.55, "d": False, "seed": 1},
         {"n": 50, "alpha": 0.55, "seed": 1.5},
         {"n": 50, "alpha": True, "seed": 1},
+        # numbers written as JSON strings are not numbers
+        {"n": "50", "alpha": "0.55", "seed": " 1 "},
+        {"n": "1_000", "alpha": 0.55, "seed": 1},
+        {"n": 50, "alpha": "0.55", "seed": 1},
     ],
 )
 def test_random_clique_malformed_config_exit_two(tmp_path, capsys, config):

@@ -9,7 +9,7 @@ from flagsphere.complexes import empty_triangles_of
 from flagsphere.cyclic import empty_triangle_count_closed_form
 from flagsphere.errors import TooSmall
 
-from conftest import minimal_nonfaces_bruteforce
+from conftest import face_sets, minimal_nonfaces_bruteforce
 
 
 def test_too_small():
@@ -40,7 +40,7 @@ def test_facets_are_disjoint_domino_pairs():
             if frozenset((a, b)) in dominoes
         ]
         assert any(
-            frozenset(p) | frozenset(q) == facet and not (set(p) & set(q))
+            frozenset(p) | frozenset(q) == frozenset(facet) and not (set(p) & set(q))
             for p in pairs
             for q in pairs
         )
@@ -92,7 +92,7 @@ def test_only_minimal_nonfaces_are_triangles(n):
 @pytest.mark.parametrize("n", (6, 7, 8))
 def test_nonfaces_match_bruteforce(n):
     X = cyclic_4_sphere(n).complex
-    assert minimal_nonfaces(X, 5) == minimal_nonfaces_bruteforce(X, 5)
+    assert face_sets(minimal_nonfaces(X, 5)) == minimal_nonfaces_bruteforce(X, 5)
 
 
 @pytest.mark.parametrize("n", range(6, 15))

@@ -34,7 +34,7 @@ def _put_back_a_replaced_facet(state):
     replaced goes back into u's star."""
     u, v, w = state.events[0]
     star = state.builder.star[u]
-    stale = next(f - {w} | {v} for f in star if w in f)
+    stale = next(tuple(sorted(frozenset(f) - {w} | {v})) for f in star if w in f)
     assert stale not in state.builder.facets
     star.add(stale)
 

@@ -49,6 +49,8 @@ from flagsphere.randomclique import clique_census, sample_gnp_edges
 from conftest import (
     clique_census_scan,
     derive_adjacency_reference,
+    capped_triangle_sphere,
+    face_sets,
     faces_by_size_reference,
     facet_incidence_reference,
     flagify_reference,
@@ -57,11 +59,15 @@ from conftest import (
     link_check_reference,
     link_is_2_sphere_reference,
     minimal_nonfaces_bruteforce,
+    octahedron_boundary,
     reference_round,
     reference_start,
     sample_gnp_edges_bisect,
+    simplex_boundary,
+    sixteen_cell,
     smallest_last_order_reference,
     subdivide_edge_scan,
+    triangle_boundary,
     verify_closed_3_manifold_reference,
 )
 
@@ -88,7 +94,7 @@ def subdivided_spheres(draw):
 @given(subdivided_spheres())
 def test_nonfaces_flagness_and_empty_triangles_match_the_oracle(X):
     oracle = minimal_nonfaces_bruteforce(X, 5)
-    assert minimal_nonfaces(X, 5) == oracle
+    assert face_sets(minimal_nonfaces(X, 5)) == oracle
     assert is_flag(X) == all(len(f) == 2 for f in oracle)
     assert empty_triangles_of(X) == {tuple(sorted(f)) for f in oracle if len(f) == 3}
 
@@ -103,7 +109,7 @@ def test_star_residues_are_the_vertex_links(X):
     assert set(star) == set(X.vertices)
     for v in X.vertices:
         assert len(star[v]) == len(star_oracle[v])
-        assert {frozenset(t) for t in star[v]} == star_oracle[v] == link(X, (v,)).facets
+        assert {frozenset(t) for t in star[v]} == star_oracle[v] == face_sets(link(X, (v,)).facets)
 
 
 @st.composite
@@ -288,7 +294,7 @@ def _indexes_from_facets(facets):
     for facet in facets:
         for v in facet:
             star.setdefault(v, set()).add(facet)
-            adj.setdefault(v, set()).update(facet - {v})
+            adj.setdefault(v, set()).update(frozenset(facet) - {v})
     return star, adj
 
 
@@ -351,6 +357,41 @@ def test_builder_walk_keeps_its_indexes_and_matches_the_functional_chain(X, pick
         assert builder.indexes_consistent()
     assert builder.freeze() == X
     assert builder.freeze().edges() == X.edges()
+
+
+@st.composite
+def spheres_and_flagified_graphs(draw):
+    """A small sphere of the conftest, or the flag 3-sphere flagify builds
+    around a triangle-free process graph."""
+    if draw(st.booleans()):
+        spheres = (triangle_boundary, octahedron_boundary, capped_triangle_sphere,
+                   simplex_boundary, sixteen_cell)
+        return draw(st.sampled_from(spheres))()
+    n = draw(st.integers(6, 12))
+    X, _, _ = flagify(triangle_free_process(n, draw(st.integers(0, 10**6))), n)
+    return X
+
+
+def _sorted_tuples(faces) -> bool:
+    return all(type(f) is tuple and f == tuple(sorted(set(f))) for f in faces)
+
+
+@fixed
+@given(spheres_and_flagified_graphs(), st.lists(st.integers(0, 10**6), max_size=8))
+def test_every_face_is_a_sorted_tuple(X, picks):
+    assert _sorted_tuples(X.facets)
+    assert all(_sorted_tuples(link(X, (v,)).facets) for v in X.vertices)
+    assert _sorted_tuples(minimal_nonfaces(X, 4))
+    assert _sorted_tuples(empty_triangles_of(X))
+    builder = ComplexBuilder(X)
+    for pick in picks:
+        edges = builder.freeze().edges()
+        edge = edges[pick % len(edges)]
+        assert _sorted_tuples(builder.edge_link_structure(edge)[1])
+        builder.subdivide(edge)
+    assert all(_sorted_tuples(star) for star in builder.star.values())
+    for edge in builder.freeze().edges():
+        assert _sorted_tuples(builder.edge_link_structure(edge)[1])
 
 
 @st.composite

@@ -11,6 +11,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import flagsphere
 from flagsphere import grotzsch_graph, mycielskian
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -34,6 +35,28 @@ def test_every_trace_site_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_every_import_is_used_or_a_trace_site():
+    # a name a module imports but never reads is dead, unless the benchmark
+    # wraps it there as a trace site
+    traced = {(module, attr) for module, attr, _ in trace_sites()}
+    unused = []
+    for path in sorted(Path(flagsphere.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = f"flagsphere.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and (module, name) not in traced:
+                        unused.append((module, name))
+    assert unused == []
 
 
 def test_flagify_calls_the_traced_builder_primitives(monkeypatch):

@@ -81,8 +81,10 @@ class PeelParams:
     allow_fallback: bool = True
 
     def __post_init__(self):
-        if not self.x > 0:  # also rejects nan
-            raise ValueError("x must be positive")
+        if not 0 < self.x < math.inf:  # also rejects nan
+            raise ValueError("x must be positive and finite")
+        if self.exact4_cap < 0:
+            raise ValueError(f"exact4_cap must be >= 0, got {self.exact4_cap}")
         if self.planar_strategy not in PLANAR_STRATEGIES:
             raise ValueError(f"unknown planar strategy {self.planar_strategy!r}")
 

@@ -367,7 +367,7 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[tuple[int, ...]
     faces = {k: _faces(X, k) for k in range(2, min(max_size, X.dimension + 1) + 1)}
     for clique in cliques(adj, max_size):
         k = len(clique)
-        if k < 3 or clique in faces.get(k, ()):
+        if clique in faces.get(k, ()):
             continue
         base = faces.get(k - 1, ())
         if all(sub in base for sub in itertools.combinations(clique, k - 1)):
@@ -378,14 +378,14 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[tuple[int, ...]
 def empty_triangles_of(X: SimplicialComplex) -> set[tuple[int, int, int]]:
     """The size-3 minimal non-faces as sorted tuples: 3-cliques of the
     1-skeleton that are not 2-faces."""
-    return {c for c in cliques(X._adj, 3) if len(c) == 3} - _faces(X, 3)
+    return set(cliques(X._adj, 3)) - _faces(X, 3)
 
 
 def is_flag(X: SimplicialComplex) -> bool:
     """True iff every clique of the 1-skeleton is a face.
 
     Every face is a clique, so X is flag exactly when it has as many
-    k-cliques as k-faces for each k <= dim+1 and no (dim+2)-clique.
+    k-cliques as k-faces for each 3 <= k <= dim+1 and no (dim+2)-clique.
     """
     if X.is_empty:
         return True
@@ -395,7 +395,7 @@ def is_flag(X: SimplicialComplex) -> bool:
         if len(clique) > top:
             return False
         counts[len(clique)] += 1
-    return tuple(counts[1:]) == f_vector(X).counts
+    return tuple(counts[3:]) == f_vector(X).counts[2:]
 
 
 def subdivide_edge(X: SimplicialComplex, edge) -> tuple[SimplicialComplex, int]:

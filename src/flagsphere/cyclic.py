@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import OriginalTag, SimplicialComplex, build_from_facets
+from .complexes import SimplicialComplex, build_from_facets
 from .errors import TooSmall
 
 
@@ -38,8 +38,7 @@ def cyclic_4_sphere(n: int) -> CyclicSphere:
             if dominoes[i] & dominoes[j]:
                 continue
             facets.append(dominoes[i] | dominoes[j])
-    tags = {v: OriginalTag(position=v + 1) for v in range(n)}
-    return CyclicSphere(n=n, complex=build_from_facets(facets, tags))
+    return CyclicSphere(n=n, complex=build_from_facets(facets))
 
 
 def empty_triangles(sphere: CyclicSphere) -> list[tuple[int, int, int]]:

@@ -2,10 +2,11 @@
 
 Provides the embedded-graph side of the pipeline: Mycielski towers with
 certified chromatic number, the seeded triangle-free process for larger
-inputs, and exact chromatic / independence solvers (DSATUR branch and
-bound, bitset branch and bound) with explored-node budgets so runs are
-reproducible. `Graph` keeps each edge once, in adjacency sets, and
-`Graph.induced` is the one way to relabel a vertex subset to 0..k-1.
+inputs, exact chromatic / independence solvers (DSATUR and bitset branch and
+bound) with explored-node budgets so runs are reproducible, and `cliques`,
+the one clique walk, which starts at triangles. `Graph` keeps each edge once,
+in adjacency sets, and `Graph.induced` is the one way to relabel a vertex
+subset to 0..k-1.
 """
 
 from __future__ import annotations
@@ -132,21 +133,21 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def cliques(adj, max_size: int):
-    """Yield every clique of 1..max_size vertices once, as a sorted tuple.
+    """Yield every clique of 3..max_size vertices once, as a sorted tuple.
 
-    `adj` maps each vertex to its neighbor set. A clique is extended only by
-    vertices larger than its last one, and the common larger neighborhood is
-    passed down, so the search never revisits a clique (Chiba & Nishizeki,
-    SIAM J. Comput. 1985).
+    `adj` maps each vertex to its neighbor set; its vertices and edges are the
+    cliques of sizes 1 and 2. A clique is extended only by vertices larger
+    than its last one, and the common larger neighborhood is passed down, so
+    the search never revisits a clique (Chiba & Nishizeki, SIAM J. Comput. 1985).
     """
     for v in sorted(adj):
-        yield (v,)
-        stack = [((v,), {u for u in adj[v] if u > v})] if max_size > 1 else []
+        stack = [((v,), {u for u in adj[v] if u > v})]
         while stack:
             clique, cand = stack.pop()
             for w in sorted(cand):
                 grown = clique + (w,)
-                yield grown
+                if len(grown) > 2:
+                    yield grown
                 if len(grown) < max_size:
                     common = {u for u in cand & adj[w] if u > w}
                     if common:

@@ -1,10 +1,10 @@
 """Random clique complexes: sampling, forest-link census, pruning.
 
-Samples G(n, p) with p = n^-alpha. One clique pass counts the faces of its
-clique complex truncated at dimension d, without storing them, and tests the
-link of every (d-3)-face for a cycle: each d-clique is one link edge of each
-of its (d-2)-vertex subsets. Reports the vertices pruning removes and
-independence numbers against the n^alpha * log n reference curve.
+Samples G(n, p) with p = n^-alpha. The graph gives the vertices and edges of
+its clique complex truncated at dimension d; one pass over the larger cliques
+counts them without storing any and tests the link of every (d-3)-face for
+a cycle: each d-clique is one link edge of each of its (d-2)-vertex subsets.
+Reports what pruning removes and independence numbers against n^alpha * log n.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidAlpha, SolverTimeout, TooSmall
+from .errors import BadDimension, InvalidAlpha, SolverTimeout, TooSmall
 from .graphs import (
     EXACT_ALPHA_LIMIT,
     Graph,
@@ -35,7 +35,7 @@ class RandomCliqueParams:
         if self.n < 1:
             raise TooSmall(f"need at least one vertex, got n={self.n}")
         if self.d < 3:
-            raise InvalidAlpha(f"dimension must be >= 3, got {self.d}")
+            raise BadDimension(f"dimension must be >= 3, got {self.d}")
         lo = 1.0 / (self.d - 1)
         hi = 1.0 / (self.d - 2)
         if not (lo < self.alpha < hi):
@@ -54,12 +54,12 @@ class TruncatedCliqueComplex:
     def __init__(self, graph: Graph, d: int):
         self.graph = graph
         self.d = d
-        self.faces_by_size: dict[int, set[frozenset[int]]] = {1: set(), 2: set()}
-        adj = {v: graph.neighbors(v) for v in range(graph.n)}
-        for clique in cliques(adj, d + 1):
-            self.faces_by_size.setdefault(len(clique), set()).add(frozenset(clique))
+        self.faces_by_size: dict[int, set[tuple[int, ...]]] = {1: {(v,) for v in range(graph.n)}}
+        self.faces_by_size[2] = set(graph.edges)
+        for clique in cliques({v: graph.neighbors(v) for v in range(graph.n)}, d + 1):
+            self.faces_by_size.setdefault(len(clique), set()).add(clique)
 
-    def faces(self, size: int) -> set[frozenset[int]]:
+    def faces(self, size: int) -> set[tuple[int, ...]]:
         return self.faces_by_size.get(size, set())
 
     def face_counts(self) -> dict[int, int]:
@@ -106,10 +106,7 @@ def sample_clique_complex(params: RandomCliqueParams) -> tuple[Graph, TruncatedC
 # not called here; the census oracle and a perfbench/run.py trace site, bound for tests/conftest.py
 def _link_graph_acyclic(g: Graph, face_vertices) -> bool:
     """Is the graph induced on the common neighborhood of `face_vertices` a forest?"""
-    common: set[int] | None = None
-    for v in face_vertices:
-        nb = g.neighbors(v)
-        common = set(nb) if common is None else common & nb
+    common = set.intersection(*(g.neighbors(v) for v in face_vertices))
     if not common:
         return True
     idx = {u: i for i, u in enumerate(sorted(common))}
@@ -149,7 +146,7 @@ def clique_census(g: Graph, d: int) -> tuple[dict[int, int], float, set[int]]:
     the face counts by size (1 and 2 always, larger sizes when present), the
     fraction of (d-3)-faces whose link is acyclic and the vertices of the rest.
     """
-    counts = dict.fromkeys(range(1, d + 2), 0)
+    counts = {1: g.n, 2: g.edge_count, **dict.fromkeys(range(3, d + 2), 0)}
     forests: dict[tuple[int, ...], dict[int, int]] = {}
     bad: set[tuple[int, ...]] = set()
     for clique in cliques({v: g.neighbors(v) for v in range(g.n)}, d + 1):

@@ -577,7 +577,7 @@ def prune_bad_links_fixpoint(cc: TruncatedCliqueComplex) -> tuple[TruncatedCliqu
         bad_vertices: set[int] = set()
         for f in current.faces(cc.d - 2):
             if not _link_graph_acyclic(current.graph, f):
-                bad_vertices |= f
+                bad_vertices |= set(f)
         if not bad_vertices:
             return current, removed_total
         removed_total += len(bad_vertices)

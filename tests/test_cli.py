@@ -201,11 +201,19 @@ def test_certify_command(tmp_path, capsys):
         ("certify", ("--k", "-1")),
         ("certify", ("--k", "3", "--budget", "-1")),
         ("verify", ("--seed", "1", "--budget", "-1")),
+        ("verify", ("--seed", "1", "--x", "inf")),
+        ("color", ("--x", "inf")),
+        ("verify", ("--seed", "1", "--cap", "-5")),
+        ("color", ("--cap", "-5")),
     ],
-    ids=["k1", "k0", "k-1", "certify-budget-1", "verify-budget-1"],
+    ids=[
+        "k1", "k0", "k-1", "certify-budget-1", "verify-budget-1",
+        "verify-x-inf", "color-x-inf", "verify-cap-5", "color-cap-5",
+    ],
 )
 def test_vacuous_bound_or_negative_budget_exit_two(tmp_path, capsys, command, extra):
-    # chi >= k certifies nothing for k < 2, and a negative node budget is no budget
+    # chi >= k certifies nothing for k < 2, and a negative node budget is no
+    # budget; x = inf makes the peel bound infinite, and a negative cap acts as 0
     gfile = tmp_path / "c5.txt"
     write_graph(Graph.cycle(5), gfile)
     sphere = tmp_path / "f.txt"
@@ -312,6 +320,14 @@ def test_random_clique_invalid_alpha_exit_one(capsys):
     )
     assert code == 1
     assert "InvalidAlpha" in err
+
+
+def test_random_clique_dimension_below_three_exit_one(capsys):
+    code, out, err = run(
+        capsys, "random-clique", "--n", "30", "--alpha", "0.55", "--d", "2", "--seed", "1"
+    )
+    assert (code, out) == (1, "")
+    assert "BadDimension" in err
 
 
 def test_replay_empty_trace_is_identity(tmp_path, capsys):

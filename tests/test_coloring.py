@@ -162,6 +162,10 @@ class TestPeel:
         with pytest.raises(ValueError):
             PeelParams(x=float("nan"))  # would never peel a vertex
         with pytest.raises(ValueError):
+            PeelParams(x=float("inf"))  # an infinite color bound
+        with pytest.raises(ValueError):
+            PeelParams(exact4_cap=-5)  # would act as a cap of 0
+        with pytest.raises(ValueError):
             PeelParams(planar_strategy="fourcolor")
 
     def test_sixteen_cell(self):

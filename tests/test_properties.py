@@ -44,7 +44,13 @@ from flagsphere.complexes import (
 from flagsphere.errors import InvariantViolation, SolverTimeout
 from flagsphere.graphs import _Budget, _k_colorable, cliques, smallest_last_order
 from flagsphere.io import write_complex
-from flagsphere.randomclique import clique_census, sample_gnp_edges
+from flagsphere.randomclique import (
+    RandomCliqueParams,
+    TruncatedCliqueComplex,
+    clique_census,
+    sample_gnp_edges,
+    sample_graph,
+)
 
 from conftest import (
     clique_census_scan,
@@ -251,13 +257,15 @@ def small_graphs(draw):
 @fixed
 @given(small_graphs(), st.integers(1, 9))
 def test_cliques_match_all_vertex_subsets(adj, max_size):
+    # sizes 1 and 2 are the graph's vertices and edges, which the walk never yields
     listed = list(cliques(adj, max_size))
     expected = {
         sub
-        for k in range(1, max_size + 1)
+        for k in range(3, max_size + 1)
         for sub in itertools.combinations(sorted(adj), k)
         if all(v in adj[u] for u, v in itertools.combinations(sub, 2))
     }
+    assert all(len(c) >= 3 for c in listed)
     assert len(listed) == len(set(listed))
     assert set(listed) == expected
 
@@ -377,8 +385,16 @@ def _sorted_tuples(faces) -> bool:
 
 
 @fixed
-@given(spheres_and_flagified_graphs(), st.lists(st.integers(0, 10**6), max_size=8))
-def test_every_face_is_a_sorted_tuple(X, picks):
+@given(
+    spheres_and_flagified_graphs(),
+    st.lists(st.integers(0, 10**6), max_size=8),
+    st.integers(0, 10**6),
+)
+def test_every_face_is_a_sorted_tuple(X, picks, seed):
+    # n=40 at alpha=0.4 has about 100 triangles and a few 4-cliques
+    g = sample_graph(RandomCliqueParams(n=40, alpha=0.4, d=4, seed=seed))
+    cc = TruncatedCliqueComplex(g, 4)
+    assert all(_sorted_tuples(cc.faces(k)) for k in range(1, 6))
     assert _sorted_tuples(X.facets)
     assert all(_sorted_tuples(link(X, (v,)).facets) for v in X.vertices)
     assert _sorted_tuples(minimal_nonfaces(X, 4))

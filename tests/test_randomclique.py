@@ -18,8 +18,8 @@ from flagsphere import (
     run_experiment,
     sample_clique_complex,
 )
-from flagsphere.errors import InvalidAlpha, TooSmall
-from flagsphere.randomclique import independence_bound_report
+from flagsphere.errors import BadDimension, InvalidAlpha, TooSmall
+from flagsphere.randomclique import clique_census, independence_bound_report
 
 from conftest import expected_forest_fraction, forest_counts, prune_bad_links_fixpoint
 
@@ -72,6 +72,11 @@ class TestParams:
         with pytest.raises(TooSmall):
             RandomCliqueParams(n=n, alpha=0.55, d=3, seed=1).validate()
 
+    @pytest.mark.parametrize("d", (2, 0))
+    def test_dimension_below_three(self, d):
+        with pytest.raises(BadDimension):
+            RandomCliqueParams(n=10, alpha=0.55, d=d, seed=1).validate()
+
 
 class TestSampling:
     @pytest.mark.parametrize("n,seed", [(10, 1), (13, 2), (15, 3)])
@@ -84,7 +89,7 @@ class TestSampling:
                 for c in itertools.combinations(range(n), size)
                 if all(g.has_edge(a, b) for a, b in itertools.combinations(c, 2))
             }
-            assert cc.faces(size) == brute
+            assert {frozenset(f) for f in cc.faces(size)} == brute
 
     def test_deterministic(self):
         params = RandomCliqueParams(n=40, alpha=0.55, d=3, seed=9)
@@ -95,6 +100,10 @@ class TestSampling:
     def test_truncation(self):
         cc = TruncatedCliqueComplex(Graph.complete(6), 3)
         assert max(cc.faces_by_size) == 4  # cliques capped at d+1 vertices
+
+    def test_census_counts_isolated_vertices_and_edges_from_the_graph(self):
+        # sizes 1 and 2 are read from n and the edge count, not from the clique walk
+        assert clique_census(Graph(5, [(0, 1)]), 3)[0] == {1: 5, 2: 1}
 
 
 class TestForestLinks:

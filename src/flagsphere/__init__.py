@@ -11,7 +11,6 @@ from .complexes import (
     OriginalTag,
     SimplicialComplex,
     SubdivisionTag,
-    SubdivisionTrace,
     VerificationReport,
     build_from_facets,
     f_vector,
@@ -35,7 +34,7 @@ from .coloring import (
     measure_alpha,
     peel_color_3,
 )
-from .cyclic import CyclicSphere, cyclic_4_sphere, empty_triangles
+from .cyclic import cyclic_4_sphere, empty_triangles
 from .flagify import (
     FlagifyReport,
     FlagifyState,

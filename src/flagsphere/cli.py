@@ -45,11 +45,11 @@ def _emit(payload: dict) -> None:
 
 def cmd_cyclic(args) -> int:
     sphere = cyclic_4_sphere(args.n)
-    write_complex(sphere.complex, args.out)
+    write_complex(sphere, args.out)
     _emit(
         {
-            "n": sphere.n,
-            "facets": sphere.complex.facet_count,
+            "n": args.n,
+            "facets": sphere.facet_count,
             "out": str(args.out),
         }
     )

@@ -51,7 +51,10 @@ VertexTag = OriginalTag | SubdivisionTag
 @dataclass(frozen=True)
 class FVector:
     counts: tuple[int, ...]
-    euler: int
+
+    @property
+    def euler(self) -> int:
+        return sum((-1) ** i * c for i, c in enumerate(self.counts))
 
 
 @dataclass(frozen=True)
@@ -417,13 +420,12 @@ def f_vector(X: SimplicialComplex) -> FVector:
     the facets; only the face sizes 3..dim are enumerated from facet subsets.
     """
     if X.is_empty:
-        return FVector(counts=(), euler=0)
+        return FVector(counts=())
     top = X.dimension + 1
     counts = [X.vertex_count, sum(len(nbrs) for nbrs in X._adj.values()) // 2][: top - 1]
     counts += [len(_faces(X, k)) for k in range(3, top)]
     counts.append(X.facet_count)
-    euler = sum((-1) ** i * c for i, c in enumerate(counts))
-    return FVector(counts=tuple(counts), euler=euler)
+    return FVector(counts=tuple(counts))
 
 
 def _connected(vertices, adj) -> bool:
@@ -493,31 +495,21 @@ def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
     # a ridge in k != 2 facets is an edge in k triangles of its vertices' links
     links_ok = two_faces_ok and all(_link_is_2_sphere(X._adj[v], star[v]) for v in star)
     edge_count = sum(len(nbrs) for nbrs in X._adj.values()) // 2
-    counts = (X.vertex_count, edge_count, len(ridge_count), X.facet_count)
-    euler = counts[0] - counts[1] + counts[2] - counts[3]
+    fv = FVector(counts=(X.vertex_count, edge_count, len(ridge_count), X.facet_count))
     return VerificationReport(
         two_faces_in_two_facets=two_faces_ok,
         connected=connected,
         vertex_links_are_2_spheres=links_ok,
-        euler_zero=euler == 0,
-        f_vector=FVector(counts=counts, euler=euler),
+        euler_zero=fv.euler == 0,
+        f_vector=fv,
     )
 
 
-@dataclass(frozen=True)
-class SubdivisionTrace:
-    """Ordered log of subdivision events (edge endpoints, assigned vertex)."""
-
-    events: tuple[tuple[int, int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-def replay(initial: SimplicialComplex, trace: SubdivisionTrace) -> SimplicialComplex:
-    """Re-apply a trace on one builder; the assigned ids must match the recorded ones."""
+def replay(initial: SimplicialComplex, trace: tuple) -> SimplicialComplex:
+    """Re-apply a trace, the ordered (u, v, w) triples of subdivided edge u-v
+    and assigned vertex w, on one builder; the assigned ids must match."""
     builder = ComplexBuilder(initial)
-    for u, v, w in trace.events:
+    for u, v, w in trace:
         got = builder.subdivide((u, v))
         if got != w:
             # id mismatch means the trace belongs to a different base complex

@@ -26,7 +26,9 @@ Index design. One FlagifyState is advanced in place for the whole run:
 
 A round performs at most four subdivisions and a run needs at most
 4*C(n,2) in total; hard guards (4 per round, 5*C(n,2) overall) raise
-InvariantViolation with the recent event trail instead of looping.
+InvariantViolation with the recent event trail instead of looping. The
+run's trace is a plain tuple of its events in order: (u, v, w) for edge
+u-v subdivided by fresh vertex w, which complexes.replay re-applies.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .complexes import ComplexBuilder, SimplicialComplex, SubdivisionTrace, empty_triangles_of
+from .complexes import ComplexBuilder, SimplicialComplex, empty_triangles_of
 from .cyclic import cyclic_4_sphere, empty_triangles
 from .errors import InvariantViolation, NotTriangleFree, TooFewPolytopeVertices
 from .graphs import Graph, is_triangle_free
@@ -72,10 +74,6 @@ class FlagifyState:
         self.rounds = 0
 
     @property
-    def trace(self) -> SubdivisionTrace:
-        return SubdivisionTrace(events=tuple(self.events))
-
-    @property
     def subdivision_count(self) -> int:
         return len(self.events)
 
@@ -109,8 +107,7 @@ def embed(g: Graph, n: int) -> FlagifyState:
         raise NotTriangleFree("embedded graph must be triangle-free")
     if g.n > n:
         raise TooFewPolytopeVertices(f"graph has {g.n} vertices, polytope only {n}")
-    sphere = cyclic_4_sphere(n)
-    return FlagifyState(ComplexBuilder(sphere.complex), g, empty_triangles(sphere))
+    return FlagifyState(ComplexBuilder(cyclic_4_sphere(n)), g, empty_triangles(n))
 
 
 def _alive(adj: dict[int, set[int]], t: Triangle) -> bool:
@@ -239,8 +236,9 @@ def flagify(
     g: Graph,
     n: int,
     audit: bool = False,
-) -> tuple[SimplicialComplex, FlagifyReport, SubdivisionTrace]:
-    """Run elimination rounds to completion and return the flag 3-sphere.
+) -> tuple[SimplicialComplex, FlagifyReport, tuple[tuple[int, int, int], ...]]:
+    """Run elimination rounds to completion; returns the flag 3-sphere, the
+    report and the trace of (u, v, w) events.
 
     With audit=True every round is followed by a full index recomputation;
     a mismatch raises InvariantViolation instead of continuing on a corrupt
@@ -269,4 +267,4 @@ def flagify(
         raise InvariantViolation(
             f"vertex count {report.final_vertex_count} exceeds bound {report.bound}"
         )
-    return complex_, report, state.trace
+    return complex_, report, tuple(state.events)

@@ -136,20 +136,22 @@ def cliques(adj, max_size: int):
     """Yield every clique of 3..max_size vertices once, as a sorted tuple.
 
     `adj` maps each vertex to its neighbor set; its vertices and edges are the
-    cliques of sizes 1 and 2. A clique is extended only by vertices larger
-    than its last one, and the common larger neighborhood is passed down, so
-    the search never revisits a clique (Chiba & Nishizeki, SIAM J. Comput. 1985).
+    cliques of sizes 1 and 2. A clique's candidates leave their set in
+    increasing order before each extends it, so the set then holds only larger
+    vertices, and its meet with the new vertex's neighbors is passed down: the
+    search never revisits a clique (Chiba & Nishizeki, SIAM J. Comput. 1985).
     """
     for v in sorted(adj):
         stack = [((v,), {u for u in adj[v] if u > v})]
         while stack:
             clique, cand = stack.pop()
             for w in sorted(cand):
+                cand.discard(w)
                 grown = clique + (w,)
                 if len(grown) > 2:
                     yield grown
                 if len(grown) < max_size:
-                    common = {u for u in cand & adj[w] if u > w}
+                    common = cand & adj[w]
                     if common:
                         stack.append((grown, common))
 
@@ -227,15 +229,17 @@ def triangle_free_process(n: int, seed: int) -> Graph:
 class ChromaticResult:
     """Outcome of the exact solver.
 
-    Either chi and a witness coloring are set, or exceeded_limit is True and
-    the search proved no coloring with `limit` colors exists.
+    Either chi and a witness coloring are set, or chi is None and the search
+    proved that no coloring with the solver's `limit` colors exists.
     """
 
     chi: int | None
     coloring: Coloring | None
     nodes: int
-    limit: int | None = None
-    exceeded_limit: bool = False
+
+    @property
+    def exceeded_limit(self) -> bool:
+        return self.chi is None
 
 
 class _Budget:
@@ -343,7 +347,7 @@ def chromatic_number_exact(
     """
     budget = _Budget(node_budget)
     if g.n == 0:
-        return ChromaticResult(chi=0, coloring=Coloring({}, 0), nodes=0, limit=limit)
+        return ChromaticResult(chi=0, coloring=Coloring({}, 0), nodes=0)
     lb = max(1, len(_greedy_clique(g)))
     hi = limit if limit is not None else g.n
     for k in range(lb, hi + 1):
@@ -351,22 +355,17 @@ def chromatic_number_exact(
         if found is not None:
             assignment = {v: found[v] for v in range(g.n)}
             return ChromaticResult(
-                chi=k,
-                coloring=Coloring.from_assignment(assignment),
-                nodes=budget.used,
-                limit=limit,
+                chi=k, coloring=Coloring.from_assignment(assignment), nodes=budget.used
             )
     if limit is None:
         raise AssertionError("n colors always suffice")  # pragma: no cover
-    return ChromaticResult(
-        chi=None, coloring=None, nodes=budget.used, limit=limit, exceeded_limit=True
-    )
+    return ChromaticResult(chi=None, coloring=None, nodes=budget.used)
 
 
 # -- independent sets ----------------------------------------------------------
 
 
-def max_independent_set_exact(g: Graph, node_budget: int = 50_000_000) -> set[int]:
+def max_independent_set_exact(g: Graph, node_budget: int = NODE_BUDGET) -> set[int]:
     """A maximum independent set via bitset branch and bound.
 
     Degree-0/1 vertices inside the candidate set are taken greedily (always

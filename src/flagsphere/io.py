@@ -13,7 +13,6 @@ from .complexes import (
     OriginalTag,
     SimplicialComplex,
     SubdivisionTag,
-    SubdivisionTrace,
     build_from_facets,
 )
 from .errors import FlagsphereError, ParseError
@@ -142,14 +141,14 @@ def read_graph(path: str | Path) -> Graph:
 # one event per line: "subdiv u v -> w" in application order
 
 
-def write_trace(trace: SubdivisionTrace, path: str | Path) -> None:
+def write_trace(trace: tuple[tuple[int, int, int], ...], path: str | Path) -> None:
     lines = ["# flagsphere subdivision trace"]
-    for u, v, w in trace.events:
+    for u, v, w in trace:
         lines.append(f"subdiv {u} {v} -> {w}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_trace(path: str | Path) -> SubdivisionTrace:
+def read_trace(path: str | Path) -> tuple[tuple[int, int, int], ...]:
     events = []
     for line in _data_lines(Path(path).read_text(encoding="utf-8")):
         parts = line.split()
@@ -159,7 +158,7 @@ def read_trace(path: str | Path) -> SubdivisionTrace:
             events.append((int(parts[1]), int(parts[2]), int(parts[4])))
         except ValueError as exc:
             raise ParseError(f"bad trace line {line!r}") from exc
-    return SubdivisionTrace(events=tuple(events))
+    return tuple(events)
 
 
 # -- coloring files ---------------------------------------------------------------

@@ -31,7 +31,7 @@ class RandomCliqueParams:
     d: int = 3
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise TooSmall(f"need at least one vertex, got n={self.n}")
         if self.d < 3:
@@ -92,8 +92,7 @@ def sample_gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, in
 
 
 def sample_graph(params: RandomCliqueParams) -> Graph:
-    """Validate the parameters and sample G(n, n^-alpha) from the seed."""
-    params.validate()
+    """Sample G(n, n^-alpha) from the seed."""
     return Graph(params.n, sample_gnp_edges(params.n, params.p, random.Random(params.seed)))
 
 

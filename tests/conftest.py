@@ -328,8 +328,8 @@ def reference_start(g: Graph, n: int) -> ReferenceState:
     # the sphere is 2-neighborly, so its minimal non-faces of size <= 3 are
     # the empty triangles; taking them from here, not from the closed form in
     # cyclic.empty_triangles, makes every flagify comparison check that too
-    triangles = frozenset(face_sets(minimal_nonfaces(sphere.complex, 3)))
-    return ReferenceState(sphere.complex, g, (), triangles, 0)
+    triangles = frozenset(face_sets(minimal_nonfaces(sphere, 3)))
+    return ReferenceState(sphere, g, (), triangles, 0)
 
 
 def flagify_reference(g: Graph, n: int) -> ReferenceState:

@@ -86,8 +86,7 @@ def test_criterion_1_cyclic_polytope_correctness():
     t0 = time.monotonic()
     ok = True
     for n in range(6, 15):
-        sphere = cyclic_4_sphere(n)
-        X = sphere.complex
+        X = cyclic_4_sphere(n)
         ok &= X.facet_count == n * (n - 3) // 2
         ok &= len(X.edges()) == n * (n - 1) // 2
         ok &= verify_closed_3_manifold(X).passed
@@ -123,7 +122,7 @@ def test_criterion_2_subdivision_delta_law():
     for n in (6, 7, 8, 9, 10):
         for seed in range(1, 11):
             rng = random.Random(100 * n + seed)
-            X = cyclic_4_sphere(n).complex
+            X = cyclic_4_sphere(n)
             before = face_sets(minimal_nonfaces(X, 5))
             for _ in range(20):
                 edge = rng.choice(X.edges())
@@ -367,7 +366,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
 
 def test_criterion_9_alpha_reports(corpus, tmp_path, capsys):
     cases, _ = corpus
-    produced = [("cyclic-6", cyclic_4_sphere(6).complex)]
+    produced = [("cyclic-6", cyclic_4_sphere(6))]
     produced += [(label, X) for label, _, _, X, _, _ in cases]
     ok = True
     from flagsphere.io import write_complex

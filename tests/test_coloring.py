@@ -184,7 +184,7 @@ class TestPeel:
 
     def test_not_flag_rejected(self):
         with pytest.raises(NotFlag):
-            peel_color_3(cyclic_4_sphere(6).complex)
+            peel_color_3(cyclic_4_sphere(6))
 
     def test_not_manifold_rejected(self):
         sq1 = [(0, 1), (1, 2), (2, 3), (3, 0)]

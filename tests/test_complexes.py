@@ -7,7 +7,6 @@ import pytest
 
 from flagsphere import (
     SubdivisionTag,
-    SubdivisionTrace,
     build_from_facets,
     cyclic_4_sphere,
     f_vector,
@@ -101,7 +100,7 @@ class TestLink:
         assert face_sets(lk.facets) == {frozenset({2, 3}), frozenset({2, 4}), frozenset({3, 4})}
 
     def test_cyclic_edge_link_is_small_cycle(self):
-        X = cyclic_4_sphere(6).complex
+        X = cyclic_4_sphere(6)
         lk = link(X, (0, 3))  # non-adjacent pair on the 6-cycle
         assert lk.dimension == 1
         assert all(len(lk.neighbors(v)) == 2 for v in lk.vertices)
@@ -122,7 +121,7 @@ class TestMinimalNonfaces:
         assert face_sets(minimal_nonfaces(simplex_boundary(), 5)) == {frozenset(range(5))}
 
     def test_cyclic_six(self):
-        X = cyclic_4_sphere(6).complex
+        X = cyclic_4_sphere(6)
         assert face_sets(minimal_nonfaces(X, 3)) == {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
 
     def test_flag_complex_has_only_nonedges(self):
@@ -132,7 +131,7 @@ class TestMinimalNonfaces:
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_bruteforce_after_random_subdivisions(self, seed):
         rng = random.Random(seed)
-        X = cyclic_4_sphere(6).complex
+        X = cyclic_4_sphere(6)
         for _ in range(3):
             X, _ = subdivide_edge(X, rng.choice(X.edges()))
         assert X.vertex_count <= 12
@@ -157,7 +156,7 @@ class TestIsFlag:
 
     @pytest.mark.parametrize("n", range(6, 10))
     def test_cyclic_not_flag(self, n):
-        assert not is_flag(cyclic_4_sphere(n).complex)
+        assert not is_flag(cyclic_4_sphere(n))
 
     def test_equivalence_with_nonface_sizes(self):
         for X in (
@@ -165,7 +164,7 @@ class TestIsFlag:
             octahedron_boundary(),
             simplex_boundary(),
             capped_triangle_sphere(),
-            cyclic_4_sphere(7).complex,
+            cyclic_4_sphere(7),
         ):
             mnf = minimal_nonfaces(X, X.dimension + 2)
             assert is_flag(X) == all(len(f) == 2 for f in mnf)
@@ -201,7 +200,7 @@ class TestSubdivideEdge:
             subdivide_edge(octahedron_boundary(), (0, 1))  # antipodal pair
 
     def test_ids_never_reused(self):
-        X = cyclic_4_sphere(6).complex
+        X = cyclic_4_sphere(6)
         X1, w1 = subdivide_edge(X, (0, 2))
         X2, w2 = subdivide_edge(X1, (1, 3))
         assert (w1, w2) == (6, 7)
@@ -210,7 +209,7 @@ class TestSubdivideEdge:
 
 class TestFVector:
     def test_cyclic_six(self):
-        fv = f_vector(cyclic_4_sphere(6).complex)
+        fv = f_vector(cyclic_4_sphere(6))
         assert fv.counts[3] == 9
         assert fv.counts[1] == 15
         assert fv.euler == 0
@@ -260,7 +259,7 @@ class TestManifoldVerification:
 class TestTraceReplay:
     def test_replay_reproduces_subdivisions(self):
         rng = random.Random(3)
-        X0 = cyclic_4_sphere(7).complex
+        X0 = cyclic_4_sphere(7)
         X = X0
         events = []
         for _ in range(6):
@@ -268,18 +267,18 @@ class TestTraceReplay:
             X, w = subdivide_edge(X, e)
             u, v = sorted(e)
             events.append((u, v, w))
-        trace = SubdivisionTrace(events=tuple(events))
+        trace = tuple(events)
         assert replay(X0, trace) == X
 
     def test_empty_trace_is_identity(self):
-        X = cyclic_4_sphere(6).complex
-        assert replay(X, SubdivisionTrace(events=())) == X
+        X = cyclic_4_sphere(6)
+        assert replay(X, ()) == X
 
     def test_replay_nonedge_fails(self):
-        X = cyclic_4_sphere(6).complex
+        X = cyclic_4_sphere(6)
         Y, _ = subdivide_edge(X, (0, 2))
         with pytest.raises(NotAnEdge):
-            replay(Y, SubdivisionTrace(events=((0, 2, 99),)))
+            replay(Y, ((0, 2, 99),))
 
 
 class TestSubdivisionDeltaLaw:
@@ -301,7 +300,7 @@ class TestSubdivisionDeltaLaw:
         for n in (6, 7, 8):
             for seed in range(4):
                 rng = random.Random(1000 * n + seed)
-                X = cyclic_4_sphere(n).complex
+                X = cyclic_4_sphere(n)
                 before = face_sets(minimal_nonfaces(X, 5))
                 for _ in range(4):
                     edge = rng.choice(X.edges())

@@ -163,7 +163,7 @@ class TestFlagify:
 
     def test_trace_replays_to_same_complex(self):
         X, _, trace = flagify(Graph.cycle(5), 7)
-        base = cyclic_4_sphere(7).complex
+        base = cyclic_4_sphere(7)
         assert replay(base, trace) == X
 
     def test_deterministic(self):

@@ -107,7 +107,7 @@ def test_flagify_bytes_match_the_golden_hashes(label, n, tmp_path):
     write_trace(trace, tmp_path / "trace.txt")
     assert (_sha256(tmp_path / "complex.txt"), _sha256(tmp_path / "trace.txt")) == GOLDEN[label]
     # the replayed trace writes the same bytes
-    write_complex(replay(cyclic_4_sphere(n).complex, trace), tmp_path / "replay.txt")
+    write_complex(replay(cyclic_4_sphere(n), trace), tmp_path / "replay.txt")
     assert (tmp_path / "replay.txt").read_bytes() == (tmp_path / "complex.txt").read_bytes()
 
 
@@ -152,7 +152,7 @@ def _sixteen_cell_facets():
 def _verify_input(label: str):
     """The complex a verify pin reads: a flagified sphere or a failing input."""
     if label == "cyclic-7":
-        return cyclic_4_sphere(7).complex  # not flag
+        return cyclic_4_sphere(7)  # not flag
     if label == "two-16-cells":
         facets = _sixteen_cell_facets()
         return build_from_facets(facets + [[v + 8 for v in f] for f in facets])

@@ -17,14 +17,14 @@ from flagsphere.io import (
 
 
 def test_complex_roundtrip_with_subdivision_tags(tmp_path):
-    X, _ = subdivide_edge(cyclic_4_sphere(7).complex, (0, 2))
+    X, _ = subdivide_edge(cyclic_4_sphere(7), (0, 2))
     path = tmp_path / "c.txt"
     write_complex(X, path)
     assert read_complex(path) == X
 
 
 def test_complex_writer_deterministic(tmp_path):
-    X = cyclic_4_sphere(8).complex
+    X = cyclic_4_sphere(8)
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     write_complex(X, a)
     write_complex(X, b)

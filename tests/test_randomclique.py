@@ -54,28 +54,28 @@ def is_forest_by_bfs(vertices, adjacent) -> bool:
 
 class TestParams:
     def test_valid_band_for_d3(self):
-        RandomCliqueParams(n=10, alpha=0.55, d=3, seed=1).validate()
-        RandomCliqueParams(n=10, alpha=0.99, d=3, seed=1).validate()
+        RandomCliqueParams(n=10, alpha=0.55, d=3, seed=1)
+        RandomCliqueParams(n=10, alpha=0.99, d=3, seed=1)
 
     @pytest.mark.parametrize("alpha", (0.5, 1.0, 0.3, 1.7))
     def test_invalid_alpha_d3(self, alpha):
         with pytest.raises(InvalidAlpha):
-            RandomCliqueParams(n=10, alpha=alpha, d=3, seed=1).validate()
+            RandomCliqueParams(n=10, alpha=alpha, d=3, seed=1)
 
     def test_d4_band(self):
-        RandomCliqueParams(n=10, alpha=0.4, d=4, seed=1).validate()
+        RandomCliqueParams(n=10, alpha=0.4, d=4, seed=1)
         with pytest.raises(InvalidAlpha):
-            RandomCliqueParams(n=10, alpha=0.6, d=4, seed=1).validate()
+            RandomCliqueParams(n=10, alpha=0.6, d=4, seed=1)
 
     @pytest.mark.parametrize("n", (0, -3))
     def test_no_vertices_too_small(self, n):
         with pytest.raises(TooSmall):
-            RandomCliqueParams(n=n, alpha=0.55, d=3, seed=1).validate()
+            RandomCliqueParams(n=n, alpha=0.55, d=3, seed=1)
 
     @pytest.mark.parametrize("d", (2, 0))
     def test_dimension_below_three(self, d):
         with pytest.raises(BadDimension):
-            RandomCliqueParams(n=10, alpha=0.55, d=d, seed=1).validate()
+            RandomCliqueParams(n=10, alpha=0.55, d=d, seed=1)
 
 
 class TestSampling:

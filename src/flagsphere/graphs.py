@@ -78,9 +78,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -121,11 +118,6 @@ class Coloring:
     @classmethod
     def from_assignment(cls, assignment: dict[int, int]) -> "Coloring":
         return cls(assignment=dict(assignment), color_count=len(set(assignment.values())))
-
-
-def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
-    a = coloring.assignment
-    return all(a[u] != a[v] for u, v in g.edges)
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -230,7 +222,8 @@ class ChromaticResult:
     """Outcome of the exact solver.
 
     Either chi and a witness coloring are set, or chi is None and the search
-    proved that no coloring with the solver's `limit` colors exists.
+    proved that no coloring with `limit` colors exists, `limit` being the
+    argument of `chromatic_number_exact`.
     """
 
     chi: int | None
@@ -279,6 +272,15 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
     neighbor colored c and bucket[s] the uncolored ones with s distinct
     neighbor colors, so the lowest bit of the top non-empty bucket is the
     DSATUR choice (Brelaz, Commun. ACM 1979).
+
+    The search is one loop over per-depth lists (the vertex index, its
+    bucket, the colors in use before it, its color and the neighbors that
+    color touched), so its depth has no recursion limit. Backing out of a
+    color undoes has[c] by XOR with the touched mask and restores the
+    bucket list saved before the shift; the list is saved only when some
+    neighbor was touched, as otherwise no bucket moved. Nodes are counted
+    locally and written back to `budget.used` on every exit, so counts add
+    up across calls and a timeout leaves `used == cap + 1`.
     """
     n = g.n
     if n == 0:
@@ -290,21 +292,20 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
     nbr = [sum(1 << rank[u] for u in g.neighbors(v)) for v in order]
     has = [0] * k
     bucket = [0] * (k + 1)
-    colors = [0] * n
-
-    def shift(rest: int, s: int, step: int) -> None:
-        # move each bit of `rest` one bucket by `step`, scanning from s against it
-        while rest:
-            moving = rest & bucket[s]
-            bucket[s] ^= moving
-            bucket[s + step] |= moving
-            rest ^= moving
-            s -= step
-
-    def backtrack(num_used: int, uncolored: int) -> bool:
-        budget.spend()
+    bucket[0] = uncolored = (1 << n) - 1
+    verts, sats, bases, colors, touches = ([0] * n for _ in range(5))
+    saved = [None] * n
+    nodes, cap = budget.used, budget.cap
+    d = num_used = 0
+    while True:
+        nodes += 1
+        if nodes > cap:
+            budget.used = nodes
+            raise SolverTimeout(f"node budget {cap} exceeded")
         if not uncolored:
-            return True
+            budget.used = nodes
+            found = dict(zip(verts, colors))
+            return [found[rank[v]] for v in range(n)]
         s = num_used
         while not bucket[s]:
             s -= 1
@@ -312,27 +313,44 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
         i = bit.bit_length() - 1
         bucket[s] ^= bit
         uncolored ^= bit
-        free_nbrs = nbr[i] & uncolored
-        for c in range(num_used + 1 if num_used < k else k):
-            if has[c] & bit:
-                continue
-            colors[i] = c
-            used = num_used if c < num_used else c + 1
-            touched = free_nbrs & ~has[c]
+        verts[d], sats[d], bases[d] = i, s, num_used
+        c = 0
+        while True:
+            top = num_used + 1 if num_used < k else k
+            while c < top and has[c] & bit:
+                c += 1
+            if c < top:
+                break
+            # no color left at depth d: put its vertex back and undo the parent's color
+            bucket[s] |= bit
+            uncolored |= bit
+            d -= 1
+            if d < 0:
+                budget.used = nodes
+                return None
+            i, s, num_used, c = verts[d], sats[d], bases[d], colors[d]
+            bit = 1 << i
+            if touches[d]:
+                has[c] ^= touches[d]
+                bucket = saved[d]
+            c += 1
+        colors[d] = c
+        if c == num_used:
+            num_used += 1
+        touched = touches[d] = nbr[i] & uncolored & ~has[c]
+        if touched:
             has[c] |= touched
-            # touched vertices lack c, so their saturation is below `used`
-            shift(touched, used - 1, 1)
-            if backtrack(used, uncolored):
-                return True
-            has[c] ^= touched
-            shift(touched, 1, -1)
-        bucket[s] |= bit
-        return False
-
-    bucket[0] = (1 << n) - 1
-    if backtrack(0, bucket[0]):
-        return [colors[rank[v]] for v in range(n)]
-    return None
+            saved[d] = bucket
+            bucket = bucket[:]
+            # touched vertices lack c, so their saturation is below num_used
+            s = num_used - 1
+            while touched:
+                moving = touched & bucket[s]
+                bucket[s] ^= moving
+                bucket[s + 1] |= moving
+                touched ^= moving
+                s -= 1
+        d += 1
 
 
 def chromatic_number_exact(
@@ -439,13 +457,3 @@ def greedy_independent_set(g: Graph, seed: int) -> set[int]:
             blocked.add(v)
             blocked |= g.neighbors(v)
     return chosen
-
-
-def is_independent_set(g: Graph, s: set[int]) -> bool:
-    return all(not (g.neighbors(v) & s) for v in s)
-
-
-def is_maximal_independent_set(g: Graph, s: set[int]) -> bool:
-    if not is_independent_set(g, s):
-        return False
-    return all(v in s or (g.neighbors(v) & s) for v in range(g.n))

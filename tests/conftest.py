@@ -425,6 +425,25 @@ def is_planar(g: Graph) -> bool:
     return nx.check_planarity(h)[0]
 
 
+def is_proper_coloring(g: Graph, coloring) -> bool:
+    a = coloring.assignment
+    return all(a[u] != a[v] for u, v in g.edges)
+
+
+def is_independent_set(g: Graph, s: set[int]) -> bool:
+    return all(not (g.neighbors(v) & s) for v in s)
+
+
+def is_maximal_independent_set(g: Graph, s: set[int]) -> bool:
+    if not is_independent_set(g, s):
+        return False
+    return all(v in s or (g.neighbors(v) & s) for v in range(g.n))
+
+
+def max_degree(g: Graph) -> int:
+    return max((g.degree(v) for v in range(g.n)), default=0)
+
+
 def brute_chromatic(g: Graph, k_max: int | None = None) -> int:
     """Smallest k admitting a proper coloring, by trying all assignments."""
     if g.n == 0:

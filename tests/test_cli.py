@@ -236,6 +236,21 @@ def test_certify_failure_exit_one(tmp_path, capsys):
     assert "CertificationFailed" in err
 
 
+def test_certify_deep_search_exit_one(tmp_path, capsys, m5):
+    # an edgeless graph embeds in any sphere; its 2,000 vertices are 2,000
+    # levels of search, which ends in a 1-coloring and not in a crash
+    gfile = tmp_path / "m5.txt"
+    write_graph(m5, gfile)
+    sphere = tmp_path / "f.txt"
+    run(capsys, "flagify", "--graph", str(gfile), "--n", "23", "--out", str(sphere))
+    write_graph(Graph.edgeless(2000), gfile)
+    code, stdout, err = run(
+        capsys, "certify", "--in", str(sphere), "--graph", str(gfile), "--k", "2"
+    )
+    assert (code, stdout) == (1, "")
+    assert err.startswith("CertificationFailed: graph is 1-colorable")
+
+
 def test_random_clique_config_and_flags_agree(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 50, "alpha": 0.55, "d": 3, "seed": 4}))

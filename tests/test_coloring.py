@@ -36,12 +36,13 @@ from flagsphere.errors import (
     PlanarStrategyFailure,
     SubgraphMissing,
 )
-from flagsphere.graphs import is_proper_coloring
 
 from conftest import (
     PROCESS_CASES,
     icosahedron_graph,
     is_planar,
+    is_proper_coloring,
+    max_degree,
     sixteen_cell,
     simplex_boundary,
 )
@@ -129,7 +130,7 @@ class TestGreedyDegeneracy:
         g = Graph(18, edges)
         col = greedy_degeneracy_color(g)
         assert is_proper_coloring(g, col)
-        assert col.color_count <= g.max_degree() + 1
+        assert col.color_count <= max_degree(g) + 1
 
 
 def _peel_recording_patches(X, params):

@@ -16,13 +16,14 @@ from flagsphere import (
     triangle_free_process,
 )
 from flagsphere.errors import SolverTimeout
-from flagsphere.graphs import (
+
+from conftest import (
+    brute_chromatic,
+    brute_max_independent_set,
     is_independent_set,
     is_maximal_independent_set,
     is_proper_coloring,
 )
-
-from conftest import brute_chromatic, brute_max_independent_set
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -111,6 +112,13 @@ class TestChromaticExact:
     def test_budget_exhaustion_raises(self, m5):
         with pytest.raises(SolverTimeout):
             chromatic_number_exact(m5, limit=4, node_budget=10)
+
+    def test_search_depth_has_no_recursion_limit(self):
+        # each colored vertex is one level of the search: 3,000 levels deep
+        path = Graph(3000, [(i, i + 1) for i in range(2999)])
+        res = chromatic_number_exact(path)
+        assert (res.chi, res.nodes) == (2, 3001)
+        assert is_proper_coloring(path, res.coloring)
 
 
 class TestIndependentSets:

@@ -21,6 +21,7 @@ from flagsphere import (
     ComplexBuilder,
     Graph,
     build_from_facets,
+    chromatic_number_exact,
     cyclic_4_sphere,
     eliminate_round,
     embed,
@@ -42,7 +43,13 @@ from flagsphere.complexes import (
     verify_closed_3_manifold,
 )
 from flagsphere.errors import InvariantViolation, SolverTimeout
-from flagsphere.graphs import _Budget, _k_colorable, cliques, smallest_last_order
+from flagsphere.graphs import (
+    _Budget,
+    _greedy_clique,
+    _k_colorable,
+    cliques,
+    smallest_last_order,
+)
 from flagsphere.io import write_complex
 from flagsphere.randomclique import (
     RandomCliqueParams,
@@ -480,6 +487,49 @@ def test_bitset_dsatur_times_out_at_the_same_node(g, cap):
         found, used = _search(_k_colorable, g, k, cap)
         assert (found, used) == _search(k_colorable_reference, g, k, cap)
         assert found is None or (found == "timeout" and used == cap + 1)
+
+
+@pytest.mark.parametrize("name,k", [("grotzsch", 3), ("grotzsch", 4), ("m5", 4), ("m5", 5)])
+def test_bitset_dsatur_matches_the_set_based_search_on_deep_trees(name, k, request):
+    # 27, 12, 896 and 24 nodes: deeper backtracking than the property graphs
+    g = request.getfixturevalue(name)
+    assert _search(_k_colorable, g, k, 10**7) == _search(k_colorable_reference, g, k, 10**7)
+
+
+def _levels(g, limit, cap):
+    """chromatic_number_exact's (chi, nodes), or ("timeout", None)."""
+    try:
+        result = chromatic_number_exact(g, limit, node_budget=cap)
+    except SolverTimeout:
+        return "timeout", None
+    return result.chi, result.nodes
+
+
+def _levels_reference(g, limit, cap):
+    """_levels rebuilt from the oracle: k_colorable_reference from the
+    greedy-clique bound up to `limit` (n when None), all on one budget."""
+    if g.n == 0:
+        return 0, 0
+    budget = _Budget(cap)
+    for k in range(max(1, len(_greedy_clique(g))), (g.n if limit is None else limit) + 1):
+        try:
+            if k_colorable_reference(g, k, budget) is not None:
+                return k, budget.used
+        except SolverTimeout:
+            return "timeout", None
+    return None, budget.used
+
+
+@fixed
+@given(solver_graphs(), st.one_of(st.none(), st.integers(0, 6)), st.integers(0, 300))
+def test_chromatic_levels_count_nodes_on_one_budget(g, limit, cap):
+    expected = _levels_reference(g, limit, cap)
+    assert _levels(g, limit, cap) == expected
+    if expected[0] != "timeout" and expected[1]:
+        # exactly the reference's total suffices, even when earlier levels spent most of it
+        nodes = expected[1]
+        assert _levels(g, limit, nodes) == expected
+        assert _levels(g, limit, nodes - 1) == ("timeout", None)
 
 
 @fixed

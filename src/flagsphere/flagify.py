@@ -10,19 +10,19 @@ triangles after subdividing an edge f with fresh vertex w are exactly the
 sets {w, x, y} where x and y lie on the link cycle of f, are adjacent in
 the complex, but are not joined by a link edge. They are read after the
 cut from the half-edge {u, w} of f = {u, v}, which has the link of f, and
-kept in a set maintained from that local rule; a full recomputation can
-audit it.
+kept in a set local to the round, which is done when the set is empty.
 
 Index design. One FlagifyState is advanced in place for the whole run:
   * the complex is a ComplexBuilder, whose vertex -> facets star answers
     each link query and each subdivision in time proportional to a star;
-  * the all-original empty triangles are not indexed. Every face and edge
+  * the all-original empty triangles are not stored. Every face and edge
     a subdivision creates contains the fresh vertex, and edges between
-    older vertices are only ever removed. So a triangle (a, b, c) that the
-    cyclic sphere lists, in lexicographic order, stays a non-face and is
-    alive exactly while its three edges exist in the builder, and a cursor
-    that skips dead entries of the list always points at the smallest live
-    one, the next round's target.
+    older vertices are only ever removed. So a triangle (a, b, c) of the
+    cyclic sphere stays a non-face and is alive exactly while its three
+    edges exist in the builder, and a dead one never comes back. One
+    forward pass over the lexicographic stream cyclic.empty_triangles(n)
+    that skips dead entries always stops at the smallest live one, the
+    next round's target.
 
 A round performs at most four subdivisions and a run needs at most
 4*C(n,2) in total; hard guards (4 per round, 5*C(n,2) overall) raise
@@ -54,23 +54,22 @@ Triangle = tuple[int, int, int]
 class FlagifyState:
     """A flagify run between rounds; eliminate_round advances it in place.
 
-    `order` holds the initial all-original empty triangles as sorted tuples
-    in lexicographic order and `cursor` the position before which every
-    entry of `order` is dead; an entry is live while its three edges exist.
-    `with_subdivision` holds the empty triangles through a fresh vertex; it
-    is empty between rounds. After an InvariantViolation the state is not
-    usable.
+    `rest` streams, in lexicographic order, the empty triangles of the cyclic
+    sphere on `n` vertices after `target`, which is None once the stream is
+    spent; every one before `target` is dead, and one is live while its three
+    edges exist. Between rounds every empty triangle is all-original. After
+    an InvariantViolation the state is not usable.
     """
 
-    __slots__ = ("builder", "embedded", "events", "order", "cursor", "with_subdivision", "rounds")
+    __slots__ = ("builder", "embedded", "events", "n", "rest", "target", "rounds")
 
-    def __init__(self, builder: ComplexBuilder, embedded: Graph, order: list[Triangle]):
+    def __init__(self, builder: ComplexBuilder, embedded: Graph, n: int):
         self.builder = builder
         self.embedded = embedded
         self.events: list[tuple[int, int, int]] = []
-        self.order = order
-        self.cursor = 0
-        self.with_subdivision: set[Triangle] = set()
+        self.n = n
+        self.rest = empty_triangles(n)
+        self.target: Triangle | None = next(self.rest, None)
         self.rounds = 0
 
     @property
@@ -79,9 +78,10 @@ class FlagifyState:
 
     @property
     def all_original(self) -> set[Triangle]:
-        """The live all-original empty triangles, read from `cursor` on."""
-        adj = self.builder.adj
-        return {t for t in self.order[self.cursor :] if _alive(adj, t)}
+        """The live all-original empty triangles from `target` on (none once
+        it is None), re-derived from the closed form."""
+        adj, target = self.builder.adj, self.target
+        return {t for t in empty_triangles(self.n) if target and t >= target and _alive(adj, t)}
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def embed(g: Graph, n: int) -> FlagifyState:
         raise NotTriangleFree("embedded graph must be triangle-free")
     if g.n > n:
         raise TooFewPolytopeVertices(f"graph has {g.n} vertices, polytope only {n}")
-    return FlagifyState(ComplexBuilder(cyclic_4_sphere(n)), g, empty_triangles(n))
+    return FlagifyState(ComplexBuilder(cyclic_4_sphere(n)), g, n)
 
 
 def _alive(adj: dict[int, set[int]], t: Triangle) -> bool:
@@ -134,8 +134,10 @@ def _trail(state: FlagifyState) -> str:
     return ", ".join(f"{u}-{v}->{w}" for u, v, w in state.events[-6:])
 
 
-def _subdivide(state: FlagifyState, edge: tuple[int, int], round_start: int) -> None:
-    """Subdivide, update the triangle indexes, and enforce the local laws."""
+def _subdivide(
+    state: FlagifyState, edge: tuple[int, int], round_start: int, pending: set[Triangle]
+) -> None:
+    """Subdivide, update the round's `pending` triangles, enforce the local laws."""
     if len(state.events) - round_start >= 4:
         raise InvariantViolation(
             f"repair cascade exceeds 4 subdivisions in one round; trail: {_trail(state)}"
@@ -145,7 +147,6 @@ def _subdivide(state: FlagifyState, edge: tuple[int, int], round_start: int) -> 
     u, v = sorted(edge)
     # the half-edge u-w has the old edge's link, read from w's small star
     born_pairs = _cascade_pairs(builder, (u, w))
-    pending = state.with_subdivision
     pending -= {t for t in pending if u in t and v in t}
     if len(born_pairs) > 2:
         raise InvariantViolation(
@@ -165,13 +166,12 @@ def _subdivide(state: FlagifyState, edge: tuple[int, int], round_start: int) -> 
 
 def _next_target(state: FlagifyState) -> Triangle | None:
     """The lexicographically smallest live all-original empty triangle, or
-    None when none is left; moves the cursor onto it."""
-    order, adj = state.order, state.builder.adj
-    i = state.cursor
-    while i < len(order) and not _alive(adj, order[i]):
-        i += 1
-    state.cursor = i
-    return order[i] if i < len(order) else None
+    None when none is left; advances the stream onto it."""
+    adj, rest, target = state.builder.adj, state.rest, state.target
+    while target is not None and not _alive(adj, target):
+        target = next(rest, None)
+    state.target = target
+    return target
 
 
 def eliminate_round(state: FlagifyState) -> FlagifyState:
@@ -184,8 +184,6 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
     subdivision provably creates nothing new; when no candidate is safe the
     first spoke is taken anyway, which is the four-subdivision pattern.
     """
-    if state.with_subdivision:
-        raise InvariantViolation("round must start with all empty triangles original")
     target = _next_target(state)
     if target is None:
         raise InvariantViolation("no empty triangle left to eliminate")
@@ -199,12 +197,13 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
     if primary is None:
         # triangle-free embedded graphs always leave at least one free edge
         raise InvariantViolation(f"all edges of {list(target)} are protected")
-    _subdivide(state, primary, round_start)
+    pending: set[Triangle] = set()
+    _subdivide(state, primary, round_start, pending)
     if _alive(state.builder.adj, target):
         raise InvariantViolation(f"primary triangle {list(target)} survived")
 
-    while state.with_subdivision:
-        o1, o2, w = min(state.with_subdivision)
+    while pending:
+        o1, o2, w = min(pending)
         candidates = [(w, o1), (w, o2)]
         if not _in_embedded(g, o1, o2):
             candidates.append((o1, o2))
@@ -212,7 +211,7 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
             (f for f in candidates if not _cascade_pairs(state.builder, f)),
             candidates[0],
         )
-        _subdivide(state, chosen, round_start)
+        _subdivide(state, chosen, round_start, pending)
 
     state.rounds += 1
     return state
@@ -221,11 +220,11 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
 def audit_state(state: FlagifyState) -> bool:
     """Cross-check every index against a full recomputation: the builder's
     star and adjacency against its facets, and the live triangles from the
-    cursor on against the size-3 minimal non-faces, which also checks that
-    every empty triangle is all-original and that the cursor skipped no live
+    target on against the size-3 minimal non-faces, which also checks that
+    every empty triangle is all-original and that the stream skipped no live
     one; plus survival of every embedded edge."""
     builder = state.builder
-    if not builder.indexes_consistent() or state.with_subdivision:
+    if not builder.indexes_consistent():
         return False
     if empty_triangles_of(builder.freeze()) != state.all_original:
         return False

@@ -113,11 +113,14 @@ class Coloring:
     """Total vertex -> color mapping; color_count is the distinct-color count."""
 
     assignment: dict[int, int]
-    color_count: int
+
+    @property
+    def color_count(self) -> int:
+        return len(set(self.assignment.values()))
 
     @classmethod
     def from_assignment(cls, assignment: dict[int, int]) -> "Coloring":
-        return cls(assignment=dict(assignment), color_count=len(set(assignment.values())))
+        return cls(dict(assignment))
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -365,7 +368,7 @@ def chromatic_number_exact(
     """
     budget = _Budget(node_budget)
     if g.n == 0:
-        return ChromaticResult(chi=0, coloring=Coloring({}, 0), nodes=0)
+        return ChromaticResult(chi=0, coloring=Coloring({}), nodes=0)
     lb = max(1, len(_greedy_clique(g)))
     hi = limit if limit is not None else g.n
     for k in range(lb, hi + 1):

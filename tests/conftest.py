@@ -90,6 +90,12 @@ def face_sets(faces) -> set[frozenset[int]]:
     return {frozenset(f) for f in faces}
 
 
+def empty_triangle_count_closed_form(n: int) -> int:
+    """Count oracle for cyclic.empty_triangles: the independent 3-sets of an
+    n-cycle number n(n-4)(n-5)/6."""
+    return n * (n - 4) * (n - 5) // 6
+
+
 def minimal_nonfaces_bruteforce(X, max_size: int) -> set[frozenset[int]]:
     """Oracle for minimal_nonfaces: test every vertex subset up to max_size.
 

@@ -36,7 +36,6 @@ from flagsphere import (
 )
 from flagsphere.cli import main as cli_main
 from flagsphere.coloring import check_proper_on_complex, peel_color_bound
-from flagsphere.cyclic import empty_triangle_count_closed_form
 from flagsphere.errors import PlanarStrategyFailure
 from flagsphere.io import write_graph
 from flagsphere.randomclique import RandomCliqueParams, clique_census, sample_graph
@@ -45,6 +44,7 @@ from conftest import (
     PROCESS_CASES,
     brute_chromatic,
     brute_k_colorable,
+    empty_triangle_count_closed_form,
     expected_forest_fraction,
     face_sets,
     minimal_nonfaces_bruteforce,

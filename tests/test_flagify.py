@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -43,7 +44,6 @@ class TestEmbed:
     def test_c5_into_6(self):
         state = embed(Graph.cycle(5), 6)
         assert len(state.all_original) == 2
-        assert not state.with_subdivision
 
     def test_triangle_rejected(self):
         with pytest.raises(NotTriangleFree):
@@ -60,6 +60,17 @@ class TestEmbed:
     def test_embedded_edges_present(self):
         state = embed(Graph.cycle(5), 7)
         assert all(state.builder.has_edge(u, v) for u, v in state.embedded.edges)
+
+    def test_memory_is_not_cubic(self):
+        # the sphere has O(n^2) faces but n(n-4)(n-5)/6 empty triangles
+        # (280,840 at n=120); a state that held them all would peak near 20 MB
+        tracemalloc.start()
+        try:
+            embed(Graph(1, []), 120)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestEliminateRound:
@@ -79,7 +90,6 @@ class TestEliminateRound:
             assert eliminate_round(state) is state  # advanced in place
             assert len(state.all_original) < count
             assert 1 <= state.subdivision_count - subs <= 4
-            assert not state.with_subdivision
             assert audit_state(state)
 
     def test_destroyed_primary_edges_never_return(self):
@@ -97,15 +107,9 @@ class TestAudit:
     def test_fresh_state_passes(self):
         assert audit_state(embed(Graph.cycle(5), 6))
 
-    def test_round_rejects_pending_repairs(self):
-        poisoned = embed(Graph.cycle(5), 6)
-        poisoned.with_subdivision.add((0, 1, 2))
-        with pytest.raises(InvariantViolation):
-            eliminate_round(poisoned)
-
     def test_corrupted_index_fails(self):
-        tampered = embed(Graph.cycle(5), 6)
-        del tampered.order[tampered.cursor]  # the live triangle the cursor points at
+        tampered = embed(Graph.cycle(5), 8)
+        tampered.target = next(tampered.rest)  # skips the live target (0, 2, 4)
         assert not audit_state(tampered)
 
     def test_stale_star_entry_fails(self):
@@ -121,9 +125,13 @@ class TestAudit:
         assert not audit_state(state)
 
     def test_cursor_past_a_live_triangle_fails(self):
+        # the stream loses round 3's target (0, 4, 6); rounds 1 and 2 never
+        # reach it, and round 3 moves past it while it is still live
         state = embed(Graph.cycle(5), 8)
-        state.cursor += 1
-        assert not audit_state(state)
+        state.rest = (t for t in state.rest if t != (0, 4, 6))
+        for _ in range(2):
+            assert audit_state(eliminate_round(state))
+        assert not audit_state(eliminate_round(state))
 
     def test_corrupted_star_entry_makes_flagify_raise(self, monkeypatch):
         real_round = flagify_module.eliminate_round
@@ -205,7 +213,6 @@ class TestRepairPatterns:
         state = embed(g, 8)
         state = eliminate_round(state)
         assert 2 <= state.subdivision_count <= 4
-        assert not state.with_subdivision
         assert audit_state(state)
 
     def test_four_subdivision_pattern_when_diagonals_protected(self):
@@ -216,7 +223,6 @@ class TestRepairPatterns:
         state = embed(g, 8)
         state = eliminate_round(state)
         assert state.subdivision_count == 4
-        assert not state.with_subdivision
         assert audit_state(state)
         # finish the run: protected edges survive to the flag complex
         X, report, _ = flagify(g, 8, audit=True)

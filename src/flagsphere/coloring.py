@@ -37,6 +37,7 @@ from .graphs import (
     _Budget,
     _k_colorable,
     chromatic_number_exact,
+    forward_rows,
     greedy_independent_set,
     max_independent_set_exact,
     smallest_last_order,
@@ -295,10 +296,10 @@ def measure_alpha(
 ) -> AlphaReport:
     """Greedy lower bound on the independence number, exact value when the
     skeleton is small, and the conjectured ceil((f0+1)/6) reference."""
-    g, _ = Graph.induced(X.neighbors, X.vertices)
-    greedy = greedy_independent_set(g, seed)
+    greedy = greedy_independent_set(forward_rows(X.neighbors, X.vertices), seed)
     exact: int | None = None
-    if g.n <= EXACT_ALPHA_LIMIT:
+    if X.vertex_count <= EXACT_ALPHA_LIMIT:
+        g, _ = Graph.induced(X.neighbors, X.vertices)
         try:
             exact = len(max_independent_set_exact(g, node_budget=node_budget))
         except SolverTimeout:

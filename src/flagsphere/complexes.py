@@ -27,7 +27,7 @@ from .errors import (
     UnknownVertex,
     WrongDimension,
 )
-from .graphs import cliques
+from .graphs import cliques, forward_rows
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,7 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[tuple[int, ...]
             if v not in adj[u]:
                 result.add((u, v))
     faces = {k: _faces(X, k) for k in range(2, min(max_size, X.dimension + 1) + 1)}
-    for clique in cliques(adj, max_size):
+    for clique in cliques(forward_rows(X.neighbors, verts), max_size):
         k = len(clique)
         if clique in faces.get(k, ()):
             continue
@@ -381,7 +381,7 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[tuple[int, ...]
 def empty_triangles_of(X: SimplicialComplex) -> set[tuple[int, int, int]]:
     """The size-3 minimal non-faces as sorted tuples: 3-cliques of the
     1-skeleton that are not 2-faces."""
-    return set(cliques(X._adj, 3)) - _faces(X, 3)
+    return set(cliques(forward_rows(X.neighbors, X.vertices), 3)) - _faces(X, 3)
 
 
 def is_flag(X: SimplicialComplex) -> bool:
@@ -394,7 +394,7 @@ def is_flag(X: SimplicialComplex) -> bool:
         return True
     top = X.dimension + 1
     counts = [0] * (top + 1)
-    for clique in cliques(X._adj, top + 1):
+    for clique in cliques(forward_rows(X.neighbors, X.vertices), top + 1):
         if len(clique) > top:
             return False
         counts[len(clique)] += 1

@@ -100,6 +100,10 @@ class InvalidAlpha(FlagsphereError):
     pass
 
 
+class TooLarge(FlagsphereError):
+    """Input whose sample would outgrow memory; refused before allocating."""
+
+
 # -- file formats -------------------------------------------------------------
 
 class ParseError(FlagsphereError):

@@ -4,9 +4,9 @@ Provides the embedded-graph side of the pipeline: Mycielski towers with
 certified chromatic number, the seeded triangle-free process for larger
 inputs, exact chromatic / independence solvers (DSATUR and bitset branch and
 bound) with explored-node budgets so runs are reproducible, and `cliques`,
-the one clique walk, which starts at triangles. `Graph` keeps each edge once,
-in adjacency sets, and `Graph.induced` is the one way to relabel a vertex
-subset to 0..k-1.
+the one clique walk, which starts at triangles and reads forward rows.
+`Graph` keeps each edge once, in adjacency sets, and `Graph.induced` is the
+one way to relabel a vertex subset to 0..k-1.
 """
 
 from __future__ import annotations
@@ -127,28 +127,37 @@ def is_triangle_free(g: Graph) -> bool:
     return all(not (g.neighbors(u) & g.neighbors(v)) for u, v in g.edges)
 
 
-def cliques(adj, max_size: int):
+def forward_rows(neighbors, vertices) -> dict[int, tuple[int, ...]]:
+    """Each vertex's forward row, the increasing tuple of its larger neighbours
+    (`neighbors(v)` is v's neighbour set), keyed in increasing vertex order."""
+    return {v: tuple(sorted(u for u in neighbors(v) if u > v)) for v in sorted(vertices)}
+
+
+def cliques(rows, max_size: int):
     """Yield every clique of 3..max_size vertices once, as a sorted tuple.
 
-    `adj` maps each vertex to its neighbor set; its vertices and edges are the
-    cliques of sizes 1 and 2. A clique's candidates leave their set in
-    increasing order before each extends it, so the set then holds only larger
-    vertices, and its meet with the new vertex's neighbors is passed down: the
-    search never revisits a clique (Chiba & Nishizeki, SIAM J. Comput. 1985).
+    `rows` maps each vertex, in increasing order, to its forward row; the
+    vertices and edges are the cliques of sizes 1 and 2. A clique's candidates
+    are the common larger neighbours of its vertices, so each clique is reached
+    once, from its smallest vertex upward (Chiba & Nishizeki, SIAM J. Comput.
+    1985). One set per vertex shrinks by intersection with rows; nothing sorts.
     """
-    for v in sorted(adj):
-        stack = [((v,), {u for u in adj[v] if u > v})]
-        while stack:
-            clique, cand = stack.pop()
-            for w in sorted(cand):
-                cand.discard(w)
-                grown = clique + (w,)
-                if len(grown) > 2:
+    for v, row in rows.items() if max_size > 2 else ():
+        fv = set(row)
+        for w in row:
+            common = fv.intersection(rows[w])
+            if not common:
+                continue
+            stack = [((v, w), common)]
+            while stack:
+                clique, cand = stack.pop()
+                for x in cand:
+                    grown = clique + (x,)
                     yield grown
-                if len(grown) < max_size:
-                    common = cand & adj[w]
-                    if common:
-                        stack.append((grown, common))
+                    if len(grown) < max_size:
+                        deeper = cand.intersection(rows[x])
+                        if deeper:
+                            stack.append((grown, deeper))
 
 
 def smallest_last_order(g: Graph) -> list[tuple[int, int]]:
@@ -447,16 +456,17 @@ def max_independent_set_exact(g: Graph, node_budget: int = NODE_BUDGET) -> set[i
     return {v for v in range(n) if (best_mask >> v) & 1}
 
 
-def greedy_independent_set(g: Graph, seed: int) -> set[int]:
-    """Maximal independent set from a seeded random vertex order."""
+def greedy_independent_set(rows, seed: int) -> set[int]:
+    """Maximal independent set of the graph with these forward rows, in a seeded random
+    order of its vertices: v joins unless a smaller or a larger neighbour has joined; a
+    joining vertex blocks its larger neighbours, and v checks its own row for the rest."""
     rng = random.Random(seed)
-    order = list(range(g.n))
+    order = list(rows)
     rng.shuffle(order)
     chosen: set[int] = set()
     blocked: set[int] = set()
     for v in order:
-        if v not in blocked:
+        if v not in blocked and chosen.isdisjoint(rows[v]):
             chosen.add(v)
-            blocked.add(v)
-            blocked |= g.neighbors(v)
+            blocked.update(rows[v])
     return chosen

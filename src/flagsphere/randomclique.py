@@ -1,10 +1,10 @@
 """Random clique complexes: sampling, forest-link census, pruning.
 
-Samples G(n, p) with p = n^-alpha. The graph gives the vertices and edges of
-its clique complex truncated at dimension d; one pass over the larger cliques
-counts them without storing any and tests the link of every (d-3)-face for
-a cycle: each d-clique is one link edge of each of its (d-2)-vertex subsets.
-Reports what pruning removes and independence numbers against n^alpha * log n.
+Samples G(n, p) with p = n^-alpha into forward rows, each vertex's larger
+neighbours in increasing order, which hold the vertices and edges of its clique
+complex truncated at dimension d. One walk over the larger cliques counts them
+without storing any and tests each (d-3)-face's link for a cycle: each d-clique
+is one link edge of each of its (d-2)-vertex subsets. Reports pruning and alpha.
 """
 
 from __future__ import annotations
@@ -13,15 +13,20 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .errors import BadDimension, InvalidAlpha, SolverTimeout, TooSmall
+from .errors import BadDimension, InvalidAlpha, SolverTimeout, TooLarge, TooSmall
 from .graphs import (
     EXACT_ALPHA_LIMIT,
     Graph,
     cliques,
+    forward_rows,
     greedy_independent_set,
     max_independent_set_exact,
 )
+
+# caps on n and the expected edge count; n=10^5 at alpha=0.55 (8.9M edges) peaks near 250 MB
+MAX_VERTICES, MAX_EDGES = 10**6, 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,9 @@ class RandomCliqueParams:
             raise InvalidAlpha(
                 f"alpha must lie strictly in ({lo}, {hi}) for d={self.d}, got {self.alpha}"
             )
+        if self.n > MAX_VERTICES or self.n * (self.n - 1) / 2 * self.p > MAX_EDGES:
+            caps = f"{MAX_VERTICES} vertices and {MAX_EDGES} expected edges"
+            raise TooLarge(f"n={self.n} at alpha={self.alpha} exceeds the caps of {caps}")
 
     @property
     def p(self) -> float:
@@ -56,7 +64,7 @@ class TruncatedCliqueComplex:
         self.d = d
         self.faces_by_size: dict[int, set[tuple[int, ...]]] = {1: {(v,) for v in range(graph.n)}}
         self.faces_by_size[2] = set(graph.edges)
-        for clique in cliques({v: graph.neighbors(v) for v in range(graph.n)}, d + 1):
+        for clique in cliques(forward_rows(graph.neighbors, range(graph.n)), d + 1):
             self.faces_by_size.setdefault(len(clique), set()).add(clique)
 
     def faces(self, size: int) -> set[tuple[int, ...]]:
@@ -66,39 +74,44 @@ class TruncatedCliqueComplex:
         return {k: len(v) for k, v in sorted(self.faces_by_size.items())}
 
 
-def sample_gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
-    """Seeded G(n,p) edge sample via geometric jumps over the pair index k of
-    (i, j), i < j, row by row; k only grows, so the row i walks along with it."""
+def sample_gnp_edges(n: int, p: float, rng: random.Random):
+    """Seeded G(n,p) edges (i, j), i < j, yielded row by row via geometric jumps
+    over their pair index k; k only grows, so the row i walks along with it."""
     if n < 2 or p <= 0.0:
-        return []
+        return
     if p >= 1.0:
-        return list(itertools.combinations(range(n), 2))
-    edges = []
+        yield from itertools.combinations(range(n), 2)
+        return
     total = n * (n - 1) // 2
     logq = math.log1p(-p)
+    rand, log = rng.random, math.log
     k = -1
     i, row_end = 0, n - 1
     while True:
-        r = rng.random()
-        gap = int(math.log(1.0 - r) / logq) + 1 if r > 0.0 else 1
+        r = rand()
+        gap = int(log(1.0 - r) / logq) + 1 if r > 0.0 else 1
         k += gap
         if k >= total:
             break
         while k >= row_end:
             i += 1
             row_end += n - 1 - i
-        edges.append((i, k - row_end + n))
-    return edges
+        yield i, k - row_end + n
 
 
-def sample_graph(params: RandomCliqueParams) -> Graph:
-    """Sample G(n, n^-alpha) from the seed."""
-    return Graph(params.n, sample_gnp_edges(params.n, params.p, random.Random(params.seed)))
+def sample_rows(params: RandomCliqueParams) -> dict[int, tuple[int, ...]]:
+    """Sample G(n, n^-alpha) from the seed as forward rows of the vertices 0..n-1."""
+    ids = list(range(params.n))  # one int object per vertex, shared by the rows
+    rows = dict.fromkeys(ids, ())
+    edges = sample_gnp_edges(params.n, params.p, random.Random(params.seed))
+    for i, row in itertools.groupby(edges, key=itemgetter(0)):
+        rows[i] = tuple(ids[j] for _, j in row)
+    return rows
 
 
 def sample_clique_complex(params: RandomCliqueParams) -> tuple[Graph, TruncatedCliqueComplex]:
     """Sample G(n, n^-alpha) and its clique complex truncated at dimension d."""
-    g = sample_graph(params)
+    g = Graph(params.n, sample_gnp_edges(params.n, params.p, random.Random(params.seed)))
     return g, TruncatedCliqueComplex(g, params.d)
 
 
@@ -127,39 +140,34 @@ def _link_graph_acyclic(g: Graph, face_vertices) -> bool:
     return True
 
 
-def _root(parent: dict[int, int], x: int) -> int:
-    """Union-find root of x by path splitting; roots are absent from `parent`."""
-    while x in parent:
-        up = parent[x]
-        parent[x] = parent.get(up, up)
-        x = up
-    return x
-
-
-def clique_census(g: Graph, d: int) -> tuple[dict[int, int], float, set[int]]:
+def clique_census(rows, d: int) -> tuple[dict[int, int], float, set[int]]:
     """Count the faces of the clique complex truncated at dimension d and test
-    the link of every (d-3)-face, the (d-2)-cliques, in one clique pass.
+    the link of every (d-3)-face, the (d-2)-cliques, in one walk over rows.
 
     The link 1-skeleton of a face f has one edge, C - f, per d-clique C that
     contains f, so each d-clique feeds its pairs to per-face union-finds. Returns
     the face counts by size (1 and 2 always, larger sizes when present), the
     fraction of (d-3)-faces whose link is acyclic and the vertices of the rest.
     """
-    counts = {1: g.n, 2: g.edge_count, **dict.fromkeys(range(3, d + 2), 0)}
+    counts = {1: len(rows), 2: sum(map(len, rows.values())), **dict.fromkeys(range(3, d + 2), 0)}
     forests: dict[tuple[int, ...], dict[int, int]] = {}
     bad: set[tuple[int, ...]] = set()
-    for clique in cliques({v: g.neighbors(v) for v in range(g.n)}, d + 1):
+    for clique in cliques(rows, d + 1):
         counts[len(clique)] += 1
         if len(clique) != d:
             continue
-        for u, w in itertools.combinations(clique, 2):
-            face = tuple(x for x in clique if x != u and x != w)
-            parent = forests.setdefault(face, {})
-            ru, rw = _root(parent, u), _root(parent, w)
-            if ru == rw:
+        # the i-th (d-2)-subset in lexicographic order misses the i-th pair from the end
+        pairs = reversed(list(itertools.combinations(clique, 2)))
+        for face, (u, w) in zip(itertools.combinations(clique, d - 2), pairs):
+            parent = forests.setdefault(face, {})  # union-find; a root has no entry
+            while u in parent:  # path halving: u and its parent move to the grandparent
+                parent[u] = u = parent.get(parent[u], parent[u])
+            while w in parent:
+                parent[w] = w = parent.get(parent[w], parent[w])
+            if u == w:
                 bad.add(face)
             else:
-                parent[ru] = rw
+                parent[u] = w
     faces = counts[d - 2]
     fraction = (faces - len(bad)) / faces if faces else 1.0
     face_counts = {k: c for k, c in counts.items() if c or k <= 2}
@@ -168,7 +176,7 @@ def clique_census(g: Graph, d: int) -> tuple[dict[int, int], float, set[int]]:
 
 def forest_link_fraction(cc: TruncatedCliqueComplex) -> float:
     """Fraction of (d-3)-dimensional faces whose link 1-skeleton is acyclic."""
-    return clique_census(cc.graph, cc.d)[1]
+    return clique_census(forward_rows(cc.graph.neighbors, range(cc.graph.n)), cc.d)[1]
 
 
 def prune_bad_links(cc: TruncatedCliqueComplex) -> tuple[TruncatedCliqueComplex, int]:
@@ -180,24 +188,25 @@ def prune_bad_links(cc: TruncatedCliqueComplex) -> tuple[TruncatedCliqueComplex,
     the graph induced on the survivors, relabelled 0..k-1 in order, and the
     number of removed vertices.
     """
-    _, _, bad = clique_census(cc.graph, cc.d)
+    _, _, bad = clique_census(forward_rows(cc.graph.neighbors, range(cc.graph.n)), cc.d)
     keep = [v for v in range(cc.graph.n) if v not in bad]
     return TruncatedCliqueComplex(Graph.induced(cc.graph.neighbors, keep)[0], cc.d), len(bad)
 
 
-def independence_bound_report(g: Graph, params: RandomCliqueParams) -> dict:
-    """Greedy (and small-case exact) independence numbers with the
-    first-moment reference curve n^alpha * ln n and the measured ratio."""
-    greedy = greedy_independent_set(g, params.seed)
+def independence_bound_report(rows, params: RandomCliqueParams) -> dict:
+    """Greedy (and small-case exact) independence numbers of the graph with these
+    forward rows, the first-moment reference curve n^alpha * ln n and the ratio."""
+    greedy = greedy_independent_set(rows, params.seed)
     exact: int | None = None
-    if g.n <= EXACT_ALPHA_LIMIT:
+    if len(rows) <= EXACT_ALPHA_LIMIT:
+        edges = ((v, w) for v, row in rows.items() for w in row)
         try:
-            exact = len(max_independent_set_exact(g))
+            exact = len(max_independent_set_exact(Graph(len(rows), edges)))
         except SolverTimeout:
             exact = None
     reference = params.n**params.alpha * math.log(params.n) if params.n > 1 else 0.0
     size = exact if exact is not None else len(greedy)
-    degenerate = g.edge_count == 0
+    degenerate = not any(rows.values())
     return {
         "greedy_alpha": len(greedy),
         "exact_alpha": exact,
@@ -208,19 +217,19 @@ def independence_bound_report(g: Graph, params: RandomCliqueParams) -> dict:
 
 
 def run_experiment(params: RandomCliqueParams) -> dict:
-    """Full experiment for one (n, alpha, d, seed): sample, count faces and
-    test every link in one clique pass, count what pruning removes."""
-    g = sample_graph(params)
-    face_counts, fraction, bad = clique_census(g, params.d)
+    """Full experiment for one (n, alpha, d, seed): sample forward rows, count
+    faces and test every link in one clique pass, count what pruning removes."""
+    rows = sample_rows(params)
+    face_counts, fraction, bad = clique_census(rows, params.d)
     return {
         "n": params.n,
         "alpha": params.alpha,
         "d": params.d,
         "seed": params.seed,
-        "edge_count": g.edge_count,
+        "edge_count": face_counts[2],
         "face_counts": face_counts,
         "forest_fraction": fraction,
         "removed": len(bad),
-        "surviving_vertices": g.n - len(bad),
-        **independence_bound_report(g, params),
+        "surviving_vertices": params.n - len(bad),
+        **independence_bound_report(rows, params),
     }

@@ -25,6 +25,7 @@ from flagsphere import (
 )
 from flagsphere.complexes import SubdivisionTag, VerificationReport, _connected
 from flagsphere.errors import WrongDimension
+from flagsphere.graphs import forward_rows
 from flagsphere.randomclique import _link_graph_acyclic
 
 
@@ -419,6 +420,27 @@ def induced_subgraph_reference(neighbors, vertices) -> tuple[Graph, list[int]]:
         if b in neighbors(a)
     ]
     return Graph(len(order), edges), order
+
+
+def rows_of(g: Graph) -> dict[int, tuple[int, ...]]:
+    """The forward rows of g's vertices 0..n-1."""
+    return forward_rows(g.neighbors, range(g.n))
+
+
+def greedy_independent_set_reference(g: Graph, seed: int) -> set[int]:
+    """Oracle for graphs.greedy_independent_set: the same seeded order, each
+    taken vertex blocking its whole neighbour set."""
+    rng = random.Random(seed)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    chosen: set[int] = set()
+    blocked: set[int] = set()
+    for v in order:
+        if v not in blocked:
+            chosen.add(v)
+            blocked.add(v)
+            blocked |= g.neighbors(v)
+    return chosen
 
 
 def is_planar(g: Graph) -> bool:

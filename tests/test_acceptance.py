@@ -15,7 +15,6 @@ import pytest
 from flagsphere import (
     Graph,
     PeelParams,
-    TruncatedCliqueComplex,
     cd_constant,
     certify_lower_bound,
     chromatic_number_exact,
@@ -29,6 +28,7 @@ from flagsphere import (
     mycielskian,
     peel_color_3,
     prune_bad_links,
+    sample_clique_complex,
     subdivide_edge,
     triangle_free_process,
     verify_closed_3_manifold,
@@ -38,7 +38,7 @@ from flagsphere.cli import main as cli_main
 from flagsphere.coloring import check_proper_on_complex, peel_color_bound
 from flagsphere.errors import PlanarStrategyFailure
 from flagsphere.io import write_graph
-from flagsphere.randomclique import RandomCliqueParams, clique_census, sample_graph
+from flagsphere.randomclique import RandomCliqueParams, clique_census, sample_rows
 
 from conftest import (
     PROCESS_CASES,
@@ -262,10 +262,10 @@ def clique_runs():
     for n, seeds in CLIQUE_SEEDS.items():
         fractions[n] = {}
         for seed in range(1, seeds + 1):
-            g = sample_graph(RandomCliqueParams(n=n, alpha=CLIQUE_ALPHA, d=3, seed=seed))
-            _, fractions[n][seed], _ = clique_census(g, 3)
+            params = RandomCliqueParams(n=n, alpha=CLIQUE_ALPHA, d=3, seed=seed)
+            _, fractions[n][seed], _ = clique_census(sample_rows(params), 3)
             if seed <= 5:
-                complexes[(n, seed)] = TruncatedCliqueComplex(g, 3)
+                complexes[(n, seed)] = sample_clique_complex(params)[1]
     return fractions, complexes, time.monotonic() - t0
 
 

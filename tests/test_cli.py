@@ -345,6 +345,23 @@ def test_random_clique_dimension_below_three_exit_one(capsys):
     assert "BadDimension" in err
 
 
+def test_random_clique_oversized_flags_exit_one(capsys):
+    code, out, err = run(
+        capsys, "random-clique", "--n", "1000000000", "--alpha", "0.55", "--seed", "1"
+    )
+    assert (code, out) == (1, "")
+    assert "TooLarge" in err
+
+
+def test_random_clique_oversized_config_exit_one(tmp_path, capsys):
+    # 1e30 is an integral float, so the config reads it as n = 10**30
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 1e30, "alpha": 0.55, "seed": 1}))
+    code, out, err = run(capsys, "random-clique", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "TooLarge" in err
+
+
 def test_replay_empty_trace_is_identity(tmp_path, capsys):
     base = tmp_path / "c6.txt"
     run(capsys, "cyclic", "--n", "6", "--out", str(base))

@@ -16,6 +16,7 @@ from flagsphere import (
     triangle_free_process,
 )
 from flagsphere.errors import SolverTimeout
+from flagsphere.graphs import cliques
 
 from conftest import (
     brute_chromatic,
@@ -23,6 +24,7 @@ from conftest import (
     is_independent_set,
     is_maximal_independent_set,
     is_proper_coloring,
+    rows_of,
 )
 
 
@@ -140,20 +142,20 @@ class TestIndependentSets:
         assert len(max_independent_set_exact(g)) == brute_max_independent_set(g)
 
     def test_greedy_maximal(self):
-        assert len(greedy_independent_set(Graph.complete(5), 3)) == 1
-        assert len(greedy_independent_set(Graph.edgeless(7), 3)) == 7
-        s = greedy_independent_set(Graph.cycle(6), 9)
+        assert len(greedy_independent_set(rows_of(Graph.complete(5)), 3)) == 1
+        assert len(greedy_independent_set(rows_of(Graph.edgeless(7)), 3)) == 7
+        s = greedy_independent_set(rows_of(Graph.cycle(6)), 9)
         assert len(s) >= 2
         assert is_maximal_independent_set(Graph.cycle(6), s)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_greedy_maximal_random(self, seed):
         g = random_graph(25, 0.2, 50 + seed)
-        assert is_maximal_independent_set(g, greedy_independent_set(g, seed))
+        assert is_maximal_independent_set(g, greedy_independent_set(rows_of(g), seed))
 
     def test_greedy_deterministic(self):
         g = random_graph(30, 0.2, 1)
-        assert greedy_independent_set(g, 4) == greedy_independent_set(g, 4)
+        assert greedy_independent_set(rows_of(g), 4) == greedy_independent_set(rows_of(g), 4)
 
 
 class TestGraphBasics:
@@ -166,3 +168,12 @@ class TestGraphBasics:
     def test_triangle_scan(self):
         assert is_triangle_free(Graph.cycle(5))
         assert not is_triangle_free(Graph.complete(3))
+
+    def test_cliques_extend_by_common_neighbours_only(self):
+        # K4 minus the edge 1-3: 3 is a larger neighbour of 0 and 2 but not of 1,
+        # so (0, 1, 2) must not grow into (0, 1, 2, 3)
+        g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
+        assert sorted(cliques(rows_of(g), 4)) == [(0, 1, 2), (0, 2, 3)]
+        assert sorted(cliques(rows_of(Graph.complete(5)), 4)) == sorted(
+            c for k in (3, 4) for c in itertools.combinations(range(5), k)
+        )

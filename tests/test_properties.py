@@ -48,15 +48,16 @@ from flagsphere.graphs import (
     _greedy_clique,
     _k_colorable,
     cliques,
+    forward_rows,
+    greedy_independent_set,
     smallest_last_order,
 )
 from flagsphere.io import write_complex
 from flagsphere.randomclique import (
     RandomCliqueParams,
-    TruncatedCliqueComplex,
     clique_census,
+    sample_clique_complex,
     sample_gnp_edges,
-    sample_graph,
 )
 
 from conftest import (
@@ -67,6 +68,7 @@ from conftest import (
     faces_by_size_reference,
     facet_incidence_reference,
     flagify_reference,
+    greedy_independent_set_reference,
     induced_subgraph_reference,
     k_colorable_reference,
     link_check_reference,
@@ -75,6 +77,7 @@ from conftest import (
     octahedron_boundary,
     reference_round,
     reference_start,
+    rows_of,
     sample_gnp_edges_bisect,
     simplex_boundary,
     sixteen_cell,
@@ -265,7 +268,7 @@ def small_graphs(draw):
 @given(small_graphs(), st.integers(1, 9))
 def test_cliques_match_all_vertex_subsets(adj, max_size):
     # sizes 1 and 2 are the graph's vertices and edges, which the walk never yields
-    listed = list(cliques(adj, max_size))
+    listed = list(cliques(forward_rows(adj.__getitem__, adj), max_size))
     expected = {
         sub
         for k in range(3, max_size + 1)
@@ -399,8 +402,7 @@ def _sorted_tuples(faces) -> bool:
 )
 def test_every_face_is_a_sorted_tuple(X, picks, seed):
     # n=40 at alpha=0.4 has about 100 triangles and a few 4-cliques
-    g = sample_graph(RandomCliqueParams(n=40, alpha=0.4, d=4, seed=seed))
-    cc = TruncatedCliqueComplex(g, 4)
+    _, cc = sample_clique_complex(RandomCliqueParams(n=40, alpha=0.4, d=4, seed=seed))
     assert all(_sorted_tuples(cc.faces(k)) for k in range(1, 6))
     assert _sorted_tuples(X.facets)
     assert all(_sorted_tuples(link(X, (v,)).facets) for v in X.vertices)
@@ -556,7 +558,33 @@ def census_graphs(draw):
 @example(Graph.complete(5), 3)
 @example(Graph.complete(9), 5)
 def test_clique_census_matches_the_per_face_scan(g, d):
-    assert clique_census(g, d) == clique_census_scan(g, d)
+    assert clique_census(rows_of(g), d) == clique_census_scan(g, d)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A graph on at most 30 vertices, a drawn number of them isolated, with
+    its labels permuted so the isolated ones fall anywhere."""
+    n = draw(st.integers(0, 30))
+    linked = n - draw(st.integers(0, n))
+    density = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(linked), 2))
+    levels = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[u], label[v]) for (u, v), lv in zip(pairs, levels) if lv < density])
+
+
+@fixed
+@given(graphs_with_isolated_vertices(), st.integers(0, 2**32))
+@example(Graph.edgeless(0), 0)
+@example(Graph.edgeless(6), 3)
+@example(Graph.complete(7), 5)
+def test_row_greedy_matches_the_neighbour_set_greedy(g, seed):
+    oracle = greedy_independent_set_reference(g, seed)
+    assert greedy_independent_set(rows_of(g), seed) == oracle
+    # an increasing relabelling (as measure_alpha's sphere ids) picks the image set
+    rows = {3 * v + 7: tuple(3 * u + 7 for u in row) for v, row in rows_of(g).items()}
+    assert greedy_independent_set(rows, seed) == {3 * v + 7 for v in oracle}
 
 
 @fixed
@@ -566,6 +594,6 @@ def test_clique_census_matches_the_per_face_scan(g, d):
     st.integers(0, 2**32),
 )
 def test_row_walking_sampler_matches_the_bisection(n, p, seed):
-    assert sample_gnp_edges(n, p, random.Random(seed)) == sample_gnp_edges_bisect(
+    assert list(sample_gnp_edges(n, p, random.Random(seed))) == sample_gnp_edges_bisect(
         n, p, random.Random(seed)
     )

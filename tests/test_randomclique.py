@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
@@ -18,10 +19,10 @@ from flagsphere import (
     run_experiment,
     sample_clique_complex,
 )
-from flagsphere.errors import BadDimension, InvalidAlpha, TooSmall
+from flagsphere.errors import BadDimension, InvalidAlpha, TooLarge, TooSmall
 from flagsphere.randomclique import clique_census, independence_bound_report
 
-from conftest import expected_forest_fraction, forest_counts, prune_bad_links_fixpoint
+from conftest import expected_forest_fraction, forest_counts, prune_bad_links_fixpoint, rows_of
 
 # (n, alpha, d, seed): SHA-256 of json.dumps(run_experiment(...), sort_keys=True,
 # indent=2), computed with the prune loop that repeated whole passes to a
@@ -77,6 +78,12 @@ class TestParams:
         with pytest.raises(BadDimension):
             RandomCliqueParams(n=10, alpha=0.55, d=d, seed=1)
 
+    @pytest.mark.parametrize("n", (10**30, 1e30, 10**7, 500_000))
+    def test_oversized_input_is_refused(self, n):
+        # 10**7 is over the vertex cap; 500,000 is over the expected-edge cap only
+        with pytest.raises(TooLarge):
+            RandomCliqueParams(n=n, alpha=0.55, d=3, seed=1)
+
 
 class TestSampling:
     @pytest.mark.parametrize("n,seed", [(10, 1), (13, 2), (15, 3)])
@@ -103,7 +110,7 @@ class TestSampling:
 
     def test_census_counts_isolated_vertices_and_edges_from_the_graph(self):
         # sizes 1 and 2 are read from n and the edge count, not from the clique walk
-        assert clique_census(Graph(5, [(0, 1)]), 3)[0] == {1: 5, 2: 1}
+        assert clique_census(rows_of(Graph(5, [(0, 1)])), 3)[0] == {1: 5, 2: 1}
 
 
 class TestForestLinks:
@@ -199,12 +206,12 @@ class TestPrune:
 class TestIndependenceReport:
     def test_edgeless_degenerate(self):
         params = RandomCliqueParams(n=5, alpha=0.55, d=3, seed=1)
-        rep = independence_bound_report(Graph.edgeless(5), params)
+        rep = independence_bound_report(rows_of(Graph.edgeless(5)), params)
         assert rep["degenerate"]
 
     def test_complete_graph(self):
         params = RandomCliqueParams(n=30, alpha=0.55, d=3, seed=1)
-        rep = independence_bound_report(Graph.complete(30), params)
+        rep = independence_bound_report(rows_of(Graph.complete(30)), params)
         assert rep["exact_alpha"] == 1
 
     def test_pinned_n300_regression(self):
@@ -213,7 +220,7 @@ class TestIndependenceReport:
         params = RandomCliqueParams(n=300, alpha=0.55, d=3, seed=1)
         g, _ = sample_clique_complex(params)
         assert g.edge_count == 1944
-        rep = independence_bound_report(g, params)
+        rep = independence_bound_report(rows_of(g), params)
         assert rep["exact_alpha"] is None
         assert rep["greedy_alpha"] == 62
         assert abs(rep["ratio"] - 0.4718587848) < 1e-9
@@ -261,3 +268,14 @@ class TestExperiment:
         assert report["removed"] > 0  # some link has a cycle
         assert calls["TruncatedCliqueComplex"] == calls["_link_graph_acyclic"] == 0
         assert calls["cliques"] == 1
+
+    def test_sample_and_census_stay_compact(self):
+        # forward rows of shared ints and one set per walked vertex; an edge
+        # list plus a Graph of adjacency sets peaked at about 7 MB on this input
+        tracemalloc.start()
+        try:
+            run_experiment(RandomCliqueParams(2000, 0.55, 3, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000

@@ -295,11 +295,17 @@ def build_from_facets(
     if len(unique) != len(facet_tuples):
         raise DominatedFacet("duplicate facet given")
     if len(sizes) != 1:
-        # a proper subset pair is reported as domination, not impurity
+        # a proper subset pair is reported as domination, not impurity; a facet
+        # is tested only against the larger facets on its rarest vertex, in
+        # by_size order, so the first container found is the first overall
         by_size = sorted(unique, key=len)
-        for i, small in enumerate(by_size):
-            for big in by_size[i + 1 :]:
-                if set(small) < set(big):
+        holders: dict[int, list[tuple[int, ...]]] = {}
+        for facet in by_size:
+            for v in facet:
+                holders.setdefault(v, []).append(facet)
+        for small in by_size:
+            for big in min((holders[v] for v in small), key=len):
+                if len(big) > len(small) and set(small).issubset(big):
                     raise DominatedFacet(f"facet {list(small)} is contained in {list(big)}")
         raise NonPure(f"facet cardinalities {sorted(sizes)} are mixed")
     verts = sorted(set().union(*unique))
@@ -443,41 +449,9 @@ def _connected(vertices, adj) -> bool:
     return len(seen) == len(verts)
 
 
-def _facet_incidence(X: SimplicialComplex) -> tuple[Counter, dict[int, list[tuple[int, ...]]]]:
-    """One pass over the sorted facets of a 3-complex: how many facets
-    contain each ridge, and each vertex's star as its facet residues
-    facet - {v} (the triangles of its link), which are the facet's ridges."""
-    star: dict[int, list[tuple[int, ...]]] = {v: [] for v in X.vertices}
-    ridges = []
-    for facet in X.facets:
-        a, b, c, d = facet
-        for v, residue in ((a, (b, c, d)), (b, (a, c, d)), (c, (a, b, d)), (d, (a, b, c))):
-            star[v].append(residue)
-            ridges.append(residue)
-    return Counter(ridges), star
-
-
-def _link_is_2_sphere(neighbors: set[int], triangles) -> bool:
-    """Is the link with these vertices and triangles a 2-sphere? Only for a
-    complex whose ridges each lie in two facets: then each link edge lies in
-    two triangles, so the link has 3F/2 edges. Each pass of the walk absorbs
-    the triangles that share a side (link edge) with the component. A link so
-    connected, pinched at k vertices, has euler <= 2 - k: 2 means a sphere."""
-    faces = len(triangles)
-    if len(neighbors) - 3 * faces // 2 + faces != 2:
-        return False
-    sides = [((a, b), (a, c), (b, c)) for a, b, c in triangles]
-    component, rest = set(sides[0]), sides
-    while True:
-        left = []
-        for t in rest:
-            if component.isdisjoint(t):
-                left.append(t)
-            else:
-                component.update(t)
-        if len(left) in (0, len(rest)):
-            return not left
-        rest = left
+# _JOINS[s][t] pairs the slots of ridge s (the facet but slot s) with those of ridge t
+_RIDGE_SLOTS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+_JOINS = tuple(tuple(tuple(zip(s, t)) for t in _RIDGE_SLOTS) for s in _RIDGE_SLOTS)
 
 
 def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
@@ -486,19 +460,41 @@ def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
     (a) every 2-face lies in exactly two facets, (b) the complex is
     connected, (c) every vertex link is a 2-sphere: a closed surface,
     connected across its edges, with euler characteristic 2, (d) euler(X) = 0.
+
+    One union-find pass decides (a) and (c): facet i owns the slots 4i..4i+3,
+    one per vertex, and the two facets of a ridge are joined slot for slot, so
+    there are V classes iff every link is connected across its edges. Under
+    (a) a link of F triangles on deg(v) vertices has euler deg(v) - F/2, and
+    so connected but pinched at k vertices, euler <= 2 - k: 2 means a sphere.
     """
     if X.dimension != 3:
         raise WrongDimension(f"expected a pure 3-complex, got dimension {X.dimension}")
-    ridge_count, star = _facet_incidence(X)
-    two_faces_ok = all(c == 2 for c in ridge_count.values())
-    connected = _connected(X.vertices, X._adj)
-    # a ridge in k != 2 facets is an edge in k triangles of its vertices' links
-    links_ok = two_faces_ok and all(_link_is_2_sphere(X._adj[v], star[v]) for v in star)
+    parent = list(range(4 * X.facet_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    first: dict[tuple[int, ...], int] = {}  # ridge -> 4i+s of its first facet; -1 at two
+    for i, (a, b, c, d) in enumerate(X.facets):
+        for code, ridge in enumerate(((b, c, d), (a, c, d), (a, b, d), (a, b, c)), 4 * i):
+            other = first.setdefault(ridge, code)
+            if 0 <= other != code:
+                first[ridge] = -1
+                for x, y in _JOINS[code & 3][other & 3]:
+                    parent[find(4 * i + x)] = find((other & ~3) + y)
+    # every ridge met a second facet, and the 4F sightings made 2F ridges: none met a third
+    two_faces_ok = max(first.values()) < 0 and len(first) == len(parent) // 2
+    classes = sum(x == p for x, p in enumerate(parent))
+    star = Counter(itertools.chain.from_iterable(X.facets))
+    euler_2 = all(2 * len(nbrs) - star[v] == 4 for v, nbrs in X._adj.items())
+    links_ok = two_faces_ok and classes == X.vertex_count and euler_2
     edge_count = sum(len(nbrs) for nbrs in X._adj.values()) // 2
-    fv = FVector(counts=(X.vertex_count, edge_count, len(ridge_count), X.facet_count))
+    fv = FVector(counts=(X.vertex_count, edge_count, len(first), X.facet_count))
     return VerificationReport(
         two_faces_in_two_facets=two_faces_ok,
-        connected=connected,
+        connected=_connected(X.vertices, X._adj),
         vertex_links_are_2_spheres=links_ok,
         euler_zero=fv.euler == 0,
         f_vector=fv,

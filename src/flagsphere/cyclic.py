@@ -15,7 +15,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .complexes import SimplicialComplex, build_from_facets
-from .errors import TooSmall
+from .errors import TooLarge, TooSmall
+
+# most polytope vertices, refused before any facet is built: n(n-3)/2 = 498,500
+# facets, while M10's flagify runs at n=767
+MAX_N = 1000
 
 
 def cyclic_4_sphere(n: int) -> SimplicialComplex:
@@ -26,6 +30,8 @@ def cyclic_4_sphere(n: int) -> SimplicialComplex:
     """
     if n < 6:
         raise TooSmall(f"cyclic 4-sphere needs n >= 6, got {n}")
+    if n > MAX_N:
+        raise TooLarge(f"cyclic 4-sphere takes n <= {MAX_N}, got {n}")
     dominoes = [frozenset((i, (i + 1) % n)) for i in range(n)]
     facets = []
     for i in range(n):

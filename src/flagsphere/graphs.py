@@ -16,12 +16,14 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import SolverTimeout
+from .errors import SolverTimeout, TooLarge
 
 # largest vertex count whose independence number the reports solve exactly
 EXACT_ALPHA_LIMIT = 60
 # default explored-node cap of the solvers and of the CLI's --budget
 NODE_BUDGET = 20_000_000
+# most vertices a Graph takes, refused before its adjacency sets are built
+MAX_VERTICES = 10**6
 
 
 class Graph:
@@ -35,6 +37,8 @@ class Graph:
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
+        if vertex_count > MAX_VERTICES:
+            raise TooLarge(f"{vertex_count} vertices exceed the cap of {MAX_VERTICES}")
         self.n = vertex_count
         adj: list[set[int]] = [set() for _ in range(vertex_count)]
         for u, v in edges:

@@ -18,6 +18,7 @@ from operator import itemgetter
 from .errors import BadDimension, InvalidAlpha, SolverTimeout, TooLarge, TooSmall
 from .graphs import (
     EXACT_ALPHA_LIMIT,
+    MAX_VERTICES,
     Graph,
     cliques,
     forward_rows,
@@ -25,8 +26,9 @@ from .graphs import (
     max_independent_set_exact,
 )
 
-# caps on n and the expected edge count; n=10^5 at alpha=0.55 (8.9M edges) peaks near 250 MB
-MAX_VERTICES, MAX_EDGES = 10**6, 2 * 10**7
+# cap on the expected edge count (n has the Graph cap, graphs.MAX_VERTICES);
+# n=10^5 at alpha=0.55 (8.9M edges) peaks near 250 MB
+MAX_EDGES = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,12 @@ class RandomCliqueParams:
         if self.n > MAX_VERTICES or self.n * (self.n - 1) / 2 * self.p > MAX_EDGES:
             caps = f"{MAX_VERTICES} vertices and {MAX_EDGES} expected edges"
             raise TooLarge(f"n={self.n} at alpha={self.alpha} exceeds the caps of {caps}")
+        # after the range checks, so a float past a cap is still TooLarge; a bool
+        # is an int, and a float n or d within range would fail in the sampler
+        for name in ("n", "d"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
 
     @property
     def p(self) -> float:

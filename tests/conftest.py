@@ -91,6 +91,18 @@ def face_sets(faces) -> set[frozenset[int]]:
     return {frozenset(f) for f in faces}
 
 
+def dominated_pair_scan(facets) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Oracle for build_from_facets' domination check: every pair of distinct
+    facets in order of size, the first facet a larger one contains and the
+    first such container, or None."""
+    by_size = sorted(set([tuple(sorted(set(f))) for f in facets]), key=len)
+    for i, small in enumerate(by_size):
+        for big in by_size[i + 1 :]:
+            if set(small) < set(big):
+                return small, big
+    return None
+
+
 def empty_triangle_count_closed_form(n: int) -> int:
     """Count oracle for cyclic.empty_triangles: the independent 3-sets of an
     n-cycle number n(n-4)(n-5)/6."""

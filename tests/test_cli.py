@@ -41,6 +41,29 @@ def test_cyclic_too_small_exit_one(tmp_path, capsys):
     assert "TooSmall" in err
 
 
+@pytest.mark.parametrize("command", ("cyclic", "flagify"))
+def test_oversized_polytope_exit_one(tmp_path, capsys, command):
+    graph = tmp_path / "g.txt"
+    write_graph(Graph.single_edge(), graph)
+    argv = ["--n", "200000", "--out", str(tmp_path / "x.txt")]
+    if command == "flagify":
+        argv += ["--graph", str(graph)]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("TooLarge:")
+
+
+def test_oversized_graph_header_exit_one(tmp_path, capsys):
+    # refused before the 10^8 adjacency sets the header declares are built
+    graph = tmp_path / "huge.txt"
+    graph.write_text("100000000 0\n")
+    code, out, err = run(
+        capsys, "flagify", "--graph", str(graph), "--n", "8", "--out", str(tmp_path / "x.txt")
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("TooLarge:")
+
+
 def test_verify_cyclic_eight(tmp_path, capsys):
     out = tmp_path / "c8.txt"
     run(capsys, "cyclic", "--n", "8", "--out", str(out))
@@ -265,6 +288,10 @@ def test_random_clique_config_and_flags_agree(tmp_path, capsys):
     cfg.write_text(json.dumps({"n": 50, "alpha": 0.55, "seed": 4}))
     code, out3, _ = run(capsys, "random-clique", "--config", str(cfg))
     assert (code, out3) == (0, out1)
+    # integral floats become ints before RandomCliqueParams, which refuses floats
+    cfg.write_text(json.dumps({"n": 50.0, "alpha": 0.55, "d": 3.0, "seed": 4.0}))
+    code, out4, _ = run(capsys, "random-clique", "--config", str(cfg))
+    assert (code, out4) == (0, out1)
 
 
 def test_random_clique_missing_seed_exit_two(tmp_path, capsys):

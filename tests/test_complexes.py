@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -66,6 +67,14 @@ class TestBuild:
     def test_non_pure(self):
         with pytest.raises(NonPure):
             build_from_facets([(0, 1), (2, 3, 4)])
+
+    def test_one_stray_facet_is_found_without_a_pairwise_scan(self):
+        # 7,020 facets plus a stray triangle: comparing every pair took seconds
+        facets = sorted(cyclic_4_sphere(120).facets) + [(0, 2, 10**6)]
+        start = time.perf_counter()
+        with pytest.raises(NonPure):
+            build_from_facets(facets)
+        assert time.perf_counter() - start < 1.0
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):

@@ -6,7 +6,8 @@ import pytest
 
 from flagsphere import cyclic_4_sphere, empty_triangles, minimal_nonfaces, verify_closed_3_manifold
 from flagsphere.complexes import empty_triangles_of
-from flagsphere.errors import TooSmall
+from flagsphere.cyclic import MAX_N
+from flagsphere.errors import TooLarge, TooSmall
 
 from conftest import empty_triangle_count_closed_form, face_sets, minimal_nonfaces_bruteforce
 
@@ -14,6 +15,12 @@ from conftest import empty_triangle_count_closed_form, face_sets, minimal_nonfac
 def test_too_small():
     with pytest.raises(TooSmall):
         cyclic_4_sphere(5)
+
+
+def test_too_large_but_m10_fits():
+    assert MAX_N >= 767  # the polytope of the Mycielski graph M10
+    with pytest.raises(TooLarge):
+        cyclic_4_sphere(MAX_N + 1)
 
 
 @pytest.mark.parametrize("n", range(6, 15))

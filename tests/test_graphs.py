@@ -15,8 +15,8 @@ from flagsphere import (
     mycielskian,
     triangle_free_process,
 )
-from flagsphere.errors import SolverTimeout
-from flagsphere.graphs import cliques
+from flagsphere.errors import SolverTimeout, TooLarge
+from flagsphere.graphs import MAX_VERTICES, cliques
 
 from conftest import (
     brute_chromatic,
@@ -26,6 +26,11 @@ from conftest import (
     is_proper_coloring,
     rows_of,
 )
+
+
+def test_vertex_count_over_the_cap_is_refused():
+    with pytest.raises(TooLarge):
+        Graph(MAX_VERTICES + 1, [])
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

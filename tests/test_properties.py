@@ -37,12 +37,10 @@ from flagsphere.cli import main
 from flagsphere.complexes import (
     _derive_adjacency,
     _faces,
-    _facet_incidence,
-    _link_is_2_sphere,
     empty_triangles_of,
     verify_closed_3_manifold,
 )
-from flagsphere.errors import InvariantViolation, SolverTimeout
+from flagsphere.errors import DominatedFacet, InvariantViolation, NonPure, SolverTimeout
 from flagsphere.graphs import (
     _Budget,
     _greedy_clique,
@@ -63,6 +61,7 @@ from flagsphere.randomclique import (
 from conftest import (
     clique_census_scan,
     derive_adjacency_reference,
+    dominated_pair_scan,
     capped_triangle_sphere,
     face_sets,
     faces_by_size_reference,
@@ -115,17 +114,35 @@ def test_nonfaces_flagness_and_empty_triangles_match_the_oracle(X):
     assert empty_triangles_of(X) == {tuple(sorted(f)) for f in oracle if len(f) == 3}
 
 
+# distinct facets of 1..5 vertices on 0..7, of mixed sizes in most draws
+facet_lists = st.lists(
+    st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=12, unique_by=frozenset
+)
+
+
+@fixed
+@given(facet_lists)
+def test_dominated_facet_is_the_pair_the_pairwise_scan_finds(facets):
+    pair = dominated_pair_scan(facets)
+    try:
+        build_from_facets(facets)
+    except DominatedFacet as exc:
+        assert pair is not None
+        assert str(exc) == f"facet {list(pair[0])} is contained in {list(pair[1])}"
+    except NonPure:
+        assert pair is None
+    else:
+        assert pair is None and len({len(f) for f in facets}) == 1
+
+
 @fixed
 @given(subdivided_spheres())
 def test_star_residues_are_the_vertex_links(X):
-    ridge_count, star = _facet_incidence(X)
-    ridge_oracle, star_oracle = facet_incidence_reference(X)
-    assert {frozenset(r): c for r, c in ridge_count.items()} == ridge_oracle
-    assert all(list(r) == sorted(r) for r in ridge_count)
+    ridge_count, star = facet_incidence_reference(X)
+    assert sum(ridge_count.values()) == 4 * X.facet_count
     assert set(star) == set(X.vertices)
     for v in X.vertices:
-        assert len(star[v]) == len(star_oracle[v])
-        assert {frozenset(t) for t in star[v]} == star_oracle[v] == face_sets(link(X, (v,)).facets)
+        assert star[v] == face_sets(link(X, (v,)).facets)
 
 
 @st.composite
@@ -144,16 +161,15 @@ def triangle_sets(draw):
     return frozenset(triangles)
 
 
-# a tetrahedron boundary beside the 7-vertex torus: V - E + F = 2 + 0, so
-# only the connectivity check rejects it
-SPHERE_AND_TORUS = frozenset(
-    [frozenset(t) for t in itertools.combinations(range(4), 3)]
-    + [
-        frozenset(4 + (i + k) % 7 for k in ks)
-        for i in range(7)
-        for ks in ((0, 1, 3), (0, 2, 3))
-    ]
+# the 7-vertex torus on 4..10: every edge lies in two triangles and every
+# vertex link is one hexagon, so only its euler characteristic, 7 - 21 + 14 = 0,
+# tells it from a sphere
+TORUS = frozenset(
+    frozenset(4 + (i + k) % 7 for k in ks) for i in range(7) for ks in ((0, 1, 3), (0, 2, 3))
 )
+# a tetrahedron boundary beside the torus: V - E + F = 2 + 0, so only the
+# connectivity check rejects it
+SPHERE_AND_TORUS = TORUS | {frozenset(t) for t in itertools.combinations(range(4), 3)}
 
 # two octahedra with the poles 0 and 1 in common (rings 2-5 and 6-9): every
 # edge lies in two triangles, the union is connected through its vertices and
@@ -171,17 +187,28 @@ PINCHED_SPHERES = frozenset(
 @given(triangle_sets())
 @example(SPHERE_AND_TORUS)
 @example(PINCHED_SPHERES)
+@example(TORUS)
 def test_link_sphere_check_matches_the_complex_oracle(triangles):
     expected = link_is_2_sphere_reference(triangles)
     assert link_check_reference(triangles) == expected
     edge_count = Counter(frozenset(e) for t in triangles for e in itertools.combinations(t, 2))
     if all(c == 2 for c in edge_count.values()):
-        # the only triangle sets the manifold check hands to the link check
-        assert _link_is_2_sphere(set().union(*triangles), list(triangles)) == expected
+        # the suspension has every ridge in two facets, and its links are the
+        # triangles at each apex and the suspended vertex links of the triangles,
+        # which are all 2-spheres exactly when the triangles are one
+        top = max(set().union(*triangles))
+        suspension = build_from_facets(
+            [t | {apex} for t in triangles for apex in (top + 1, top + 2)]
+        )
+        assert verify_closed_3_manifold(suspension).vertex_links_are_2_spheres == expected
     else:
         assert not expected
 
 
+# the suspension of TORUS: every ridge lies in two facets, the complex is
+# connected and every link is connected across its edges, but each apex
+# link has euler 0
+SUSPENDED_TORUS = build_from_facets([t | {apex} for t in TORUS for apex in (11, 12)])
 # the suspension of SPHERE_AND_TORUS: every ridge lies in two facets and
 # every link of a surface vertex is a 2-sphere, but each apex link is
 # disconnected
@@ -193,6 +220,19 @@ SUSPENDED_SPHERE_AND_TORUS = build_from_facets(
 # with euler 2, but the links of 0, 1 and both apexes are pinched
 PINCHED_SUSPENSION = build_from_facets(
     [t | {apex} for t in PINCHED_SPHERES for apex in (10, 11)]
+)
+
+# three discs, the cones from 3, 4 and 5 over the triangle boundary 0-1-2,
+# suspended from 6 and 7: each ridge {i, j, apex} on that boundary lies in
+# three facets and every other ridge in two, so only the ridge count, 33
+# against the 2F = 36 of a closed complex, rejects it
+SUSPENDED_THREE_DISCS = build_from_facets(
+    [
+        (i, j, cone, apex)
+        for i, j in ((0, 1), (0, 2), (1, 2))
+        for cone in (3, 4, 5)
+        for apex in (6, 7)
+    ]
 )
 
 
@@ -215,6 +255,8 @@ def nearly_spheres(draw):
 @given(nearly_spheres())
 @example(SUSPENDED_SPHERE_AND_TORUS)
 @example(PINCHED_SUSPENSION)
+@example(SUSPENDED_TORUS)
+@example(SUSPENDED_THREE_DISCS)
 def test_manifold_report_matches_the_reference(X):
     assert verify_closed_3_manifold(X) == verify_closed_3_manifold_reference(X)
 

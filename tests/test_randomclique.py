@@ -78,6 +78,11 @@ class TestParams:
         with pytest.raises(BadDimension):
             RandomCliqueParams(n=10, alpha=0.55, d=d, seed=1)
 
+    @pytest.mark.parametrize("field,value", [("n", 50.0), ("n", True), ("d", 3.0)])
+    def test_non_integer_size_is_refused(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            RandomCliqueParams(**(dict(n=50, alpha=0.55, d=3, seed=1) | {field: value}))
+
     @pytest.mark.parametrize("n", (10**30, 1e30, 10**7, 500_000))
     def test_oversized_input_is_refused(self, n):
         # 10**7 is over the vertex cap; 500,000 is over the expected-edge cap only

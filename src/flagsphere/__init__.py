@@ -14,9 +14,7 @@ from .complexes import (
     VerificationReport,
     build_from_facets,
     f_vector,
-    is_face,
     is_flag,
-    link,
     minimal_nonfaces,
     replay,
     subdivide_edge,
@@ -26,8 +24,6 @@ from .coloring import (
     AlphaReport,
     CertificateReport,
     PeelParams,
-    cd_constant,
-    cd_table,
     certify_lower_bound,
     five_color_planar,
     greedy_degeneracy_color,

@@ -150,12 +150,16 @@ def _config_value(raw: dict, key: str, kind: type, default=None):
 
 
 def cmd_random_clique(args) -> int:
-    raw = vars(args)
+    flags = {key: getattr(args, key) for key in ("n", "alpha", "d", "seed")}
+    raw = {key: value for key, value in flags.items() if value is not None}
     if args.config:
+        if raw:
+            given = " ".join(f"--{key}" for key in raw)
+            raise ParseError(f"random-clique takes --config or flags, not both; got {given}")
         try:
             raw = json.loads(args.config.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad config JSON: {exc}") from exc
+        except ValueError as exc:  # bad JSON, bytes not UTF-8, an integer over 4300 digits
+            raise ParseError(f"bad config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
     params = RandomCliqueParams(
@@ -234,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--d", type=int, default=RandomCliqueParams.d)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_random_clique)
 

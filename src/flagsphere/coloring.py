@@ -6,8 +6,7 @@ x*sqrt(n), then finishes the low-degree residual greedily in degeneracy
 order. Planar neighborhoods are colored either by exhaustive 4-coloring
 (small ones) or by the classical Kempe-chain 5-coloring.
 
-Also provides the dimension-constant recursion for the general upper bound
-and exact-solver-backed chromatic lower-bound certificates.
+Also provides exact-solver-backed chromatic lower-bound certificates.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .complexes import SimplicialComplex, is_flag, verify_closed_3_manifold
 # not called here; imported so perfbench/run.py can trace this call site
 from .complexes import f_vector  # noqa: F401
 from .errors import (
-    BadDimension,
     CertificationFailed,
     NotFlag,
     NotManifold,
@@ -49,31 +47,6 @@ PLANAR_STRATEGIES = ("exact4", "five", "greedy")
 EXACT4_NODE_BUDGET = 500_000
 
 
-def cd_constant(d: int) -> float:
-    """Dimension constant for the peel bound: 4 at d=3, then the recursion
-    C_d = (C_{d-1}/(d-2))^{(d-2)/(d-1)} + C_{d-1} * ((d-2)/C_{d-1})^{1/(d-1)}."""
-    if d < 3:
-        raise BadDimension(f"defined for d >= 3, got {d}")
-    c = 4.0
-    for k in range(4, d + 1):
-        c = (c / (k - 2)) ** ((k - 2) / (k - 1)) + c * ((k - 2) / c) ** (1.0 / (k - 1))
-    return c
-
-
-def cd_table(max_d: int) -> dict[int, float]:
-    return {d: cd_constant(d) for d in range(3, max_d + 1)}
-
-
-def palette_term(p: float, x: float) -> float:
-    """Leading coefficient p/x + x of the color bound; minimized at x=sqrt(p)."""
-    return p / x + x
-
-
-def peel_color_bound(p: int, x: float, n: int) -> int:
-    """Color budget ceil((p/x + x) * sqrt(n)) + 1 for palette size p."""
-    return math.ceil(palette_term(p, x) * math.sqrt(n)) + 1
-
-
 @dataclass(frozen=True)
 class PeelParams:
     x: float = DEFAULT_X
@@ -99,7 +72,7 @@ def greedy_degeneracy_color(g: Graph) -> Coloring:
         while c in used:
             c += 1
         assignment[v] = c
-    return Coloring.from_assignment(assignment)
+    return Coloring(assignment)
 
 
 def five_color_planar(g: Graph) -> Coloring:
@@ -146,7 +119,7 @@ def five_color_planar(g: Graph) -> Coloring:
         used = {assignment[u] for u in g.neighbors(v) if u in assignment}
         free = [c for c in range(5) if c not in used]
         assignment[v] = free[0] if free else kempe_free_color(v)
-    return Coloring.from_assignment(assignment)
+    return Coloring(assignment)
 
 
 def _color_planar_patch(g: Graph, params: PeelParams) -> Coloring:
@@ -161,7 +134,7 @@ def _color_planar_patch(g: Graph, params: PeelParams) -> Coloring:
             except SolverTimeout:
                 pass
         if found is not None:
-            return Coloring.from_assignment({v: found[v] for v in range(g.n)})
+            return Coloring({v: found[v] for v in range(g.n)})
         if not params.allow_fallback:
             raise PlanarStrategyFailure(
                 f"exact4 found no 4-coloring of a {g.n}-vertex neighborhood within its"
@@ -216,12 +189,7 @@ def peel_color_unchecked(X: SimplicialComplex, params: PeelParams) -> Coloring:
     res_coloring = greedy_degeneracy_color(residual_graph)
     for i, u in enumerate(residual):
         assignment[u] = next_color + res_coloring.assignment[i]
-    return Coloring.from_assignment(assignment)
-
-
-def check_proper_on_complex(X: SimplicialComplex, coloring: Coloring) -> bool:
-    a = coloring.assignment
-    return all(a[u] != a[v] for u, v in X.edges())
+    return Coloring(assignment)
 
 
 # -- chromatic lower-bound certification ----------------------------------------
@@ -273,12 +241,6 @@ def certify_lower_bound(
         solver_nodes=result.nodes,
         witness_type="exceedance",
     )
-
-
-def revalidate_certificate(report: CertificateReport, g: Graph) -> bool:
-    """Independent re-check: rerun the (k-1)-colorability search from scratch."""
-    res = chromatic_number_exact(g, limit=report.k - 1)
-    return res.exceeded_limit
 
 
 # -- independence measurements ----------------------------------------------------

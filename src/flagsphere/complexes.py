@@ -22,7 +22,6 @@ from .errors import (
     EmptyInput,
     InvariantViolation,
     NonPure,
-    NotAFace,
     NotAnEdge,
     UnknownVertex,
     WrongDimension,
@@ -139,9 +138,6 @@ class SimplicialComplex:
 
     def neighbors(self, v: int) -> set[int]:
         return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._adj and v in self._adj[u]
@@ -318,38 +314,6 @@ def build_from_facets(
         else:
             full_tags[v] = OriginalTag(position=v + 1)
     return SimplicialComplex(frozenset(unique), full_tags)
-
-
-def _cofacets(X: SimplicialComplex, face):
-    """The checked face as a set, and a lazy scan of its cofacets that tests one vertex first."""
-    fs = frozenset(face)
-    for v in fs:
-        if v not in X._adj:
-            raise UnknownVertex(f"vertex {v} not in complex")
-    v = next(iter(fs), None)
-    return fs, (f for f in X.facets if (v is None or v in f) and fs.issubset(f))
-
-
-def is_face(X: SimplicialComplex, face) -> bool:
-    """True iff the vertex set is contained in some facet."""
-    return next(_cofacets(X, face)[1], None) is not None
-
-
-def link(X: SimplicialComplex, face) -> SimplicialComplex:
-    """Link of a face: the complex {sigma \\ f : f subset sigma in facets}.
-
-    The link of a facet is the empty complex (is_empty reports it).
-    Vertices keep their ambient ids and tags.
-    """
-    fs, cofacets = _cofacets(X, face)
-    residues = {tuple([x for x in facet if x not in fs]) for facet in cofacets}
-    if not residues:
-        raise NotAFace(f"{sorted(fs)} is not a face")
-    if residues == {()}:
-        return SimplicialComplex(frozenset(), {})
-    verts = set().union(*residues)
-    tags = {v: X.tags[v] for v in verts}
-    return SimplicialComplex(frozenset(residues), tags)
 
 
 def _faces(X: SimplicialComplex, k: int) -> set[tuple[int, ...]]:

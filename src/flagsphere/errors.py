@@ -26,10 +26,6 @@ class UnknownVertex(FlagsphereError):
     pass
 
 
-class NotAFace(FlagsphereError):
-    pass
-
-
 class NotAnEdge(FlagsphereError):
     pass
 

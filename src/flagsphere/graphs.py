@@ -122,10 +122,6 @@ class Coloring:
     def color_count(self) -> int:
         return len(set(self.assignment.values()))
 
-    @classmethod
-    def from_assignment(cls, assignment: dict[int, int]) -> "Coloring":
-        return cls(dict(assignment))
-
 
 def is_triangle_free(g: Graph) -> bool:
     return all(not (g.neighbors(u) & g.neighbors(v)) for u, v in g.edges)
@@ -389,7 +385,7 @@ def chromatic_number_exact(
         if found is not None:
             assignment = {v: found[v] for v in range(g.n)}
             return ChromaticResult(
-                chi=k, coloring=Coloring.from_assignment(assignment), nodes=budget.used
+                chi=k, coloring=Coloring(assignment), nodes=budget.used
             )
     if limit is None:
         raise AssertionError("n colors always suffice")  # pragma: no cover

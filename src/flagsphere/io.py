@@ -19,7 +19,13 @@ from .errors import FlagsphereError, ParseError
 from .graphs import Coloring, Graph
 
 
-def _data_lines(text: str) -> list[str]:
+def _data_lines(path: str | Path) -> list[str]:
+    """The file's lines, stripped, without blank and '#' lines; bytes that are
+    not UTF-8 are a ParseError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     out = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -50,7 +56,7 @@ def write_complex(X: SimplicialComplex, path: str | Path) -> None:
 
 
 def read_complex(path: str | Path) -> SimplicialComplex:
-    lines = _data_lines(Path(path).read_text(encoding="utf-8"))
+    lines = _data_lines(path)
     facets: list[frozenset[int]] = []
     tags: dict[int, object] = {}
     in_tags = False
@@ -112,7 +118,7 @@ def write_graph(g: Graph, path: str | Path) -> None:
 
 
 def read_graph(path: str | Path) -> Graph:
-    lines = _data_lines(Path(path).read_text(encoding="utf-8"))
+    lines = _data_lines(path)
     if not lines:
         raise ParseError("empty graph file")
     try:
@@ -150,7 +156,7 @@ def write_trace(trace: tuple[tuple[int, int, int], ...], path: str | Path) -> No
 
 def read_trace(path: str | Path) -> tuple[tuple[int, int, int], ...]:
     events = []
-    for line in _data_lines(Path(path).read_text(encoding="utf-8")):
+    for line in _data_lines(path):
         parts = line.split()
         if len(parts) != 5 or parts[0] != "subdiv" or parts[3] != "->":
             raise ParseError(f"bad trace line {line!r}")
@@ -170,16 +176,3 @@ def write_coloring(coloring: Coloring, path: str | Path) -> None:
     for v in sorted(coloring.assignment):
         lines.append(f"{v} {coloring.assignment[v]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_coloring(path: str | Path) -> Coloring:
-    assignment: dict[int, int] = {}
-    for line in _data_lines(Path(path).read_text(encoding="utf-8")):
-        try:
-            v, c = (int(p) for p in line.split())
-        except ValueError as exc:
-            raise ParseError(f"bad coloring line {line!r}") from exc
-        if v in assignment:
-            raise ParseError(f"vertex {v} colored twice")
-        assignment[v] = c
-    return Coloring.from_assignment(assignment)

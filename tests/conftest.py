@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import pytest
 
 from flagsphere import (
+    Coloring,
     Graph,
     OriginalTag,
     SimplicialComplex,
@@ -19,12 +20,11 @@ from flagsphere import (
     cyclic_4_sphere,
     f_vector,
     grotzsch_graph,
-    link,
     minimal_nonfaces,
     mycielskian,
 )
 from flagsphere.complexes import SubdivisionTag, VerificationReport, _connected
-from flagsphere.errors import WrongDimension
+from flagsphere.errors import BadDimension, UnknownVertex, WrongDimension
 from flagsphere.graphs import forward_rows
 from flagsphere.randomclique import _link_graph_acyclic
 
@@ -89,6 +89,38 @@ def face_sets(faces) -> set[frozenset[int]]:
     """Sorted-tuple faces as frozensets, to compare them with set literals
     and with the set-based oracles below."""
     return {frozenset(f) for f in faces}
+
+
+def _cofacets(X: SimplicialComplex, face):
+    """The checked face as a set, and a lazy scan of its cofacets that tests one vertex first."""
+    fs = frozenset(face)
+    for v in fs:
+        if v not in X._adj:
+            raise UnknownVertex(f"vertex {v} not in complex")
+    v = next(iter(fs), None)
+    return fs, (f for f in X.facets if (v is None or v in f) and fs.issubset(f))
+
+
+def is_face(X: SimplicialComplex, face) -> bool:
+    """True iff the vertex set is contained in some facet."""
+    return next(_cofacets(X, face)[1], None) is not None
+
+
+def link(X: SimplicialComplex, face) -> SimplicialComplex:
+    """Link of a face: the complex {sigma \\ f : f subset sigma in facets}.
+
+    The link of a facet is the empty complex (is_empty reports it).
+    Vertices keep their ambient ids and tags.
+    """
+    fs, cofacets = _cofacets(X, face)
+    residues = {tuple([x for x in facet if x not in fs]) for facet in cofacets}
+    if not residues:
+        raise ValueError(f"{sorted(fs)} is not a face")
+    if residues == {()}:
+        return SimplicialComplex(frozenset(), {})
+    verts = set().union(*residues)
+    tags = {v: X.tags[v] for v in verts}
+    return SimplicialComplex(frozenset(residues), tags)
 
 
 def dominated_pair_scan(facets) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -468,6 +500,32 @@ def is_planar(g: Graph) -> bool:
 def is_proper_coloring(g: Graph, coloring) -> bool:
     a = coloring.assignment
     return all(a[u] != a[v] for u, v in g.edges)
+
+
+def check_proper_on_complex(X: SimplicialComplex, coloring: Coloring) -> bool:
+    a = coloring.assignment
+    return all(a[u] != a[v] for u, v in X.edges())
+
+
+def cd_constant(d: int) -> float:
+    """Dimension constant for the peel bound: 4 at d=3, then the recursion
+    C_d = (C_{d-1}/(d-2))^{(d-2)/(d-1)} + C_{d-1} * ((d-2)/C_{d-1})^{1/(d-1)}."""
+    if d < 3:
+        raise BadDimension(f"defined for d >= 3, got {d}")
+    c = 4.0
+    for k in range(4, d + 1):
+        c = (c / (k - 2)) ** ((k - 2) / (k - 1)) + c * ((k - 2) / c) ** (1.0 / (k - 1))
+    return c
+
+
+def palette_term(p: float, x: float) -> float:
+    """Leading coefficient p/x + x of the color bound; minimized at x=sqrt(p)."""
+    return p / x + x
+
+
+def peel_color_bound(p: int, x: float, n: int) -> int:
+    """Color budget ceil((p/x + x) * sqrt(n)) + 1 for palette size p."""
+    return math.ceil(palette_term(p, x) * math.sqrt(n)) + 1
 
 
 def is_independent_set(g: Graph, s: set[int]) -> bool:

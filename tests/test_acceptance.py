@@ -15,14 +15,12 @@ import pytest
 from flagsphere import (
     Graph,
     PeelParams,
-    cd_constant,
     certify_lower_bound,
     chromatic_number_exact,
     cyclic_4_sphere,
     flagify,
     forest_link_fraction,
     grotzsch_graph,
-    is_face,
     is_flag,
     minimal_nonfaces,
     mycielskian,
@@ -35,7 +33,6 @@ from flagsphere import (
     vertex_bound,
 )
 from flagsphere.cli import main as cli_main
-from flagsphere.coloring import check_proper_on_complex, peel_color_bound
 from flagsphere.errors import PlanarStrategyFailure
 from flagsphere.io import write_graph
 from flagsphere.randomclique import RandomCliqueParams, clique_census, sample_rows
@@ -44,10 +41,14 @@ from conftest import (
     PROCESS_CASES,
     brute_chromatic,
     brute_k_colorable,
+    cd_constant,
+    check_proper_on_complex,
     empty_triangle_count_closed_form,
     expected_forest_fraction,
     face_sets,
+    is_face,
     minimal_nonfaces_bruteforce,
+    peel_color_bound,
 )
 
 

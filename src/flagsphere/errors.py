@@ -26,6 +26,10 @@ class UnknownVertex(FlagsphereError):
     pass
 
 
+class RepeatedVertex(FlagsphereError):
+    pass
+
+
 class NotAnEdge(FlagsphereError):
     pass
 

@@ -56,11 +56,12 @@ def write_complex(X: SimplicialComplex, path: str | Path) -> None:
 
 
 def read_complex(path: str | Path) -> SimplicialComplex:
-    lines = _data_lines(path)
-    facets: list[frozenset[int]] = []
+    """Tokenise a complex file for build_from_facets, the one check of complex data.
+    Only an unparsable line, a second "tags:" header or a repeated tag is refused here."""
+    facets: list[tuple[int, ...]] = []
     tags: dict[int, object] = {}
     in_tags = False
-    for line in lines:
+    for line in _data_lines(path):
         if line == "tags:":
             if in_tags:
                 raise ParseError("duplicate tags: header")
@@ -69,11 +70,9 @@ def read_complex(path: str | Path) -> SimplicialComplex:
         parts = line.split()
         if not in_tags:
             try:
-                facets.append(frozenset(map(int, parts)))
+                facets.append(tuple(map(int, parts)))
             except ValueError as exc:
                 raise ParseError(f"bad facet line {line!r}") from exc
-            if len(facets[-1]) != len(parts):
-                raise ParseError(f"facet line {line!r} repeats a vertex")
         else:
             try:
                 vid = int(parts[0])
@@ -91,18 +90,10 @@ def read_complex(path: str | Path) -> SimplicialComplex:
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"bad tag line {line!r}") from exc
     try:
-        complex_ = build_from_facets(facets, tags if tags else None)
+        return build_from_facets(facets, tags or None)
     except FlagsphereError as exc:
         # malformed file contents surface as a parse failure
         raise ParseError(f"invalid complex file: {exc}") from exc
-    if tags:
-        missing = set(complex_.vertices) - set(tags)
-        extra = set(tags) - set(complex_.vertices)
-        if missing or extra:
-            raise ParseError(
-                f"tag block incomplete: missing {sorted(missing)}, extra {sorted(extra)}"
-            )
-    return complex_
 
 
 # -- graph files -----------------------------------------------------------------

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +25,15 @@ from flagsphere import (
     mycielskian,
 )
 from flagsphere.complexes import SubdivisionTag, VerificationReport, _connected
-from flagsphere.errors import BadDimension, UnknownVertex, WrongDimension
+from flagsphere.errors import (
+    BadDimension,
+    FlagsphereError,
+    ParseError,
+    UnknownVertex,
+    WrongDimension,
+)
 from flagsphere.graphs import forward_rows
+from flagsphere.io import _data_lines
 from flagsphere.randomclique import _link_graph_acyclic
 
 
@@ -133,6 +141,58 @@ def dominated_pair_scan(facets) -> tuple[tuple[int, ...], tuple[int, ...]] | Non
             if set(small) < set(big):
                 return small, big
     return None
+
+
+def read_complex_reference(path: str | Path) -> SimplicialComplex:
+    """Oracle for io.read_complex: the reader as it was when it checked repeated
+    ids and tag coverage itself, before build_from_facets took those checks."""
+    lines = _data_lines(path)
+    facets: list[frozenset[int]] = []
+    tags: dict[int, object] = {}
+    in_tags = False
+    for line in lines:
+        if line == "tags:":
+            if in_tags:
+                raise ParseError("duplicate tags: header")
+            in_tags = True
+            continue
+        parts = line.split()
+        if not in_tags:
+            try:
+                facets.append(frozenset(map(int, parts)))
+            except ValueError as exc:
+                raise ParseError(f"bad facet line {line!r}") from exc
+            if len(facets[-1]) != len(parts):
+                raise ParseError(f"facet line {line!r} repeats a vertex")
+        else:
+            try:
+                vid = int(parts[0])
+                kind = parts[1]
+                if vid in tags:
+                    raise ParseError(f"vertex {vid} tagged twice")
+                if kind == "original" and len(parts) == 3:
+                    tags[vid] = OriginalTag(position=int(parts[2]))
+                elif kind == "subdiv" and len(parts) == 5:
+                    tags[vid] = SubdivisionTag(
+                        parent_edge=(int(parts[2]), int(parts[3])), step=int(parts[4])
+                    )
+                else:
+                    raise ValueError
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"bad tag line {line!r}") from exc
+    try:
+        complex_ = build_from_facets(facets, tags if tags else None)
+    except FlagsphereError as exc:
+        # malformed file contents surface as a parse failure
+        raise ParseError(f"invalid complex file: {exc}") from exc
+    if tags:
+        missing = set(complex_.vertices) - set(tags)
+        extra = set(tags) - set(complex_.vertices)
+        if missing or extra:
+            raise ParseError(
+                f"tag block incomplete: missing {sorted(missing)}, extra {sorted(extra)}"
+            )
+    return complex_
 
 
 def empty_triangle_count_closed_form(n: int) -> int:

@@ -351,6 +351,23 @@ def test_random_clique_malformed_config_exit_two(tmp_path, capsys, config):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 200, "alpha": 0.55, "seed": 5, "D": 4}',
+        '{"n": 200, "alpha": 0.55, "seed": 5, "n": 300}',
+    ],
+    ids=["unknown-key", "repeated-key"],
+)
+def test_random_clique_config_key_unknown_or_repeated_exit_two(tmp_path, capsys, text):
+    # a misspelt key would run at the default d, and a repeated one at its last value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "random-clique", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: ") and "Traceback" not in err
+
+
 def test_random_clique_overlong_integer_exit_two(tmp_path, capsys):
     # json.loads refuses an integer of more than 4300 digits with a ValueError
     cfg = tmp_path / "cfg.json"

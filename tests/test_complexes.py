@@ -7,6 +7,7 @@ import time
 import pytest
 
 from flagsphere import (
+    OriginalTag,
     SubdivisionTag,
     build_from_facets,
     cyclic_4_sphere,
@@ -22,6 +23,7 @@ from flagsphere.errors import (
     EmptyInput,
     NonPure,
     NotAnEdge,
+    RepeatedVertex,
     UnknownVertex,
     WrongDimension,
 )
@@ -78,6 +80,22 @@ class TestBuild:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             build_from_facets([])
+
+    def test_facet_with_a_repeated_vertex(self):
+        with pytest.raises(RepeatedVertex, match="repeats a vertex"):
+            build_from_facets([[0, 0, 1, 2, 3], [1, 2, 3, 4]])
+        with pytest.raises(RepeatedVertex):
+            build_from_facets([(0, 1, 2), (2, 3, 3)])
+
+    def test_tags_missing_a_vertex(self):
+        tags = {v: OriginalTag(position=v + 1) for v in range(4)}
+        with pytest.raises(UnknownVertex, match=r"miss vertices \[4\]"):
+            build_from_facets([(0, 1, 2, 3), (1, 2, 3, 4)], tags)
+
+    def test_tag_for_a_vertex_in_no_facet(self):
+        tags = {v: OriginalTag(position=v + 1) for v in (0, 1, 2, 3, 9)}
+        with pytest.raises(UnknownVertex, match=r"non-vertices \[9\]"):
+            build_from_facets([(0, 1, 2, 3)], tags)
 
     def test_adjacency_matches_facet_cover(self):
         oct_ = octahedron_boundary()

@@ -2,7 +2,15 @@
 
 import pytest
 
-from flagsphere import Graph, cyclic_4_sphere, flagify, grotzsch_graph, subdivide_edge
+from flagsphere import (
+    Graph,
+    cyclic_4_sphere,
+    flagify,
+    grotzsch_graph,
+    mycielskian,
+    subdivide_edge,
+    triangle_free_process,
+)
 from flagsphere.errors import ParseError
 from flagsphere.io import (
     read_complex,
@@ -13,6 +21,8 @@ from flagsphere.io import (
     write_graph,
     write_trace,
 )
+
+from conftest import PROCESS_CASES, read_complex_reference
 
 
 def test_complex_roundtrip_with_subdivision_tags(tmp_path):
@@ -56,6 +66,14 @@ def test_complex_facet_with_a_repeated_vertex_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 2 3\n0 1 2 4 4\n")
     with pytest.raises(ParseError, match="repeats a vertex"):
+        read_complex(path)
+
+
+def test_complex_tag_for_a_vertex_in_no_facet_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    tags = "".join(f"{v} original {v + 1}\n" for v in range(3))
+    path.write_text(f"0 1 2\ntags:\n{tags}9 original 10\n")
+    with pytest.raises(ParseError, match=r"\[9\]"):
         read_complex(path)
 
 
@@ -133,3 +151,66 @@ def test_coloring_roundtrip(tmp_path):
     # one "vertex color" line per vertex, in increasing vertex order
     pairs = [tuple(map(int, line.split())) for line in lines]
     assert pairs == sorted(col.assignment.items())
+
+
+# every file here is malformed: the reader and its reference oracle both refuse it
+MALFORMED_COMPLEX_FILES = {
+    "repeated-id": "0 1 2 3\n1 2 3 3\n",
+    "repeated-id-mixed-sizes": "0 1 2 3\n0 1 2 4 4\n",
+    "missing-tag": "0 1 2\ntags:\n0 original 1\n1 original 2\n",
+    "extra-tag": "0 1 2\ntags:\n0 original 1\n1 original 2\n2 original 3\n9 original 10\n",
+    "mixed-sizes": "0 1 2\n3 4\n",
+    "duplicate-facet-reordered": "0 1 2\n2 0 1\n",
+    "dominated-facet": "0 1 2 3\n1 2 3\n",
+    "negative-id": "0 1 2\n-1 1 2\n",
+    "garbage-token": "0 1 two\n",
+    "bad-tag-line": "0 1 2\ntags:\n0 original 1\n1 original 2\n2 subdiv 0 1\n",
+    "tagged-twice": "0 1 2\ntags:\n0 original 1\n1 original 2\n2 original 3\n2 original 3\n",
+    "tags-before-facets": "tags:\n0 original 1\n1 original 2\n2 original 3\n",
+    "empty": "",
+    "only-comments": "# no facets\n",
+    "second-tags-header": "0 1 2\ntags:\n0 original 1\n1 original 2\n2 original 3\ntags:\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_COMPLEX_FILES.values(), ids=MALFORMED_COMPLEX_FILES)
+def test_reader_and_reference_refuse_the_malformed_corpus(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        read_complex_reference(path)
+    with pytest.raises(ParseError):
+        read_complex(path)
+
+
+# the flagify inputs of the golden corpus: (label, graph, n)
+GOLDEN_CORPUS = [
+    ("C5", Graph.cycle(5), 6),
+    ("grotzsch", grotzsch_graph(), 11),
+    ("M5", mycielskian(grotzsch_graph()), 23),
+] + [(f"process-{n}-{seed}", triangle_free_process(n, seed), n) for n, seed in PROCESS_CASES]
+
+
+WELL_FORMED_COMPLEX_FILES = {
+    "unsorted-with-comments": "# header\n3 1 0 2\n\n  4 2 1 3  \n# between\n0 4 2 1\n",
+    "no-tag-block": "0 1 2\n1 2 3\n",
+    "subdivision-tags": (
+        "0 1 2\n1 2 3\ntags:\n3 subdiv 0 2 1\n0 original 1\n2 original 3\n1 original 2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("label", WELL_FORMED_COMPLEX_FILES)
+def test_reader_and_reference_agree_on_well_formed_files(tmp_path, label):
+    path = tmp_path / "c.txt"
+    path.write_text(WELL_FORMED_COMPLEX_FILES[label])
+    X, reference = read_complex(path), read_complex_reference(path)
+    assert X == reference and X.vertices == reference.vertices
+
+
+@pytest.mark.parametrize("label,g,n", GOLDEN_CORPUS, ids=[label for label, _, _ in GOLDEN_CORPUS])
+def test_reader_and_reference_agree_on_the_golden_corpus(tmp_path, label, g, n):
+    X, _, _ = flagify(g, n)
+    path = tmp_path / f"{label}.txt"
+    write_complex(X, path)
+    assert read_complex(path) == read_complex_reference(path) == X

@@ -39,7 +39,13 @@ from flagsphere.complexes import (
     empty_triangles_of,
     verify_closed_3_manifold,
 )
-from flagsphere.errors import DominatedFacet, InvariantViolation, NonPure, SolverTimeout
+from flagsphere.errors import (
+    DominatedFacet,
+    InvariantViolation,
+    NonPure,
+    ParseError,
+    SolverTimeout,
+)
 from flagsphere.graphs import (
     _Budget,
     _greedy_clique,
@@ -49,7 +55,7 @@ from flagsphere.graphs import (
     greedy_independent_set,
     smallest_last_order,
 )
-from flagsphere.io import write_complex
+from flagsphere.io import read_complex, write_complex
 from flagsphere.randomclique import (
     RandomCliqueParams,
     clique_census,
@@ -74,6 +80,7 @@ from conftest import (
     link_is_2_sphere_reference,
     minimal_nonfaces_bruteforce,
     octahedron_boundary,
+    read_complex_reference,
     reference_round,
     reference_start,
     rows_of,
@@ -290,6 +297,66 @@ def test_verify_reports_every_empty_triangle(X):
         with contextlib.redirect_stdout(out):
             assert main(["verify", "--in", str(path), "--seed", "1"]) == 0
     assert json.loads(out.getvalue())["empty_triangle_count"] == len(empty_triangles_of(X))
+
+
+CORRUPTIONS = (
+    "drop-line", "copy-line", "tags-header", "set-token", "drop-token", "add-token",
+    "garbage-token", "reverse-tokens",
+)
+
+
+@st.composite
+def corrupted_complex_files(draw):
+    """The write_complex text of a subdivided sphere with one line corrupted:
+    dropped, copied, preceded by a "tags:" header, or with one token set to an
+    id in -1..V+1 (a repeated, negative, new or untagged id), dropped, added,
+    made non-numeric, or with its tokens reversed."""
+    X = draw(subdivided_spheres())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.txt"
+        write_complex(X, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+    i = draw(st.integers(1, len(lines) - 1))  # line 0 is the header comment
+    parts = lines[i].split()
+    j = draw(st.integers(0, len(parts) - 1))
+    new_id = str(draw(st.integers(-1, max(X.vertices) + 1)))
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    if kind == "drop-line":
+        del lines[i]
+    elif kind == "copy-line":
+        lines.insert(i, lines[i])
+    elif kind == "tags-header":
+        lines.insert(i, "tags:")
+    else:
+        if kind == "set-token":
+            parts[j] = new_id
+        elif kind == "drop-token":
+            del parts[j]
+        elif kind == "add-token":
+            parts.insert(j, new_id)
+        elif kind == "garbage-token":
+            parts[j] = "x"
+        else:
+            parts.reverse()
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _read_or_refuse(reader, path):
+    """The complex a reader returns, or ParseError if it refuses the file."""
+    try:
+        return reader(path)
+    except ParseError:
+        return ParseError
+
+
+@fixed
+@given(corrupted_complex_files())
+def test_reader_agrees_with_its_reference_on_corrupted_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.txt"
+        path.write_text(text, encoding="utf-8")
+        assert _read_or_refuse(read_complex, path) == _read_or_refuse(read_complex_reference, path)
 
 
 @st.composite

@@ -2,7 +2,7 @@
 
 The central object is :class:`SimplicialComplex`: an antichain of equal-size
 facets over integer vertex ids, with a derived vertex adjacency cache and a
-provenance tag per vertex (original position vs. edge-subdivision vertex).
+provenance tag per vertex (original vs. the child of a parent edge).
 Complexes are immutable after construction. Long runs of edge subdivisions
 go through :class:`ComplexBuilder`, a mutable copy whose vertex -> facets
 stars are its one incidence record, frozen into a new complex at the end.
@@ -32,17 +32,15 @@ from .graphs import cliques, forward_rows
 
 @dataclass(frozen=True)
 class OriginalTag:
-    """Vertex present in the initial complex, at a fixed 1-based position."""
-
-    position: int
+    """Vertex present in the initial complex; its 1-based position is id + 1."""
 
 
 @dataclass(frozen=True)
 class SubdivisionTag:
-    """Vertex created by subdividing parent_edge; step is the 1-based event index."""
+    """Vertex created by subdividing parent_edge (smaller id first, both below
+    the vertex); its 1-based step is its rank among the subdivision vertices."""
 
     parent_edge: tuple[int, int]
-    step: int
 
 
 VertexTag = OriginalTag | SubdivisionTag
@@ -192,29 +190,24 @@ class ComplexBuilder:
     """Mutable copy of a complex for long runs of edge subdivisions.
 
     It holds each vertex's star (its facets, as sorted tuples), the adjacency
-    sets, the tags, the next free vertex id and the count of subdivision
-    steps. The stars are the builder's one incidence record: the facet set
-    is read from them. subdivide() costs O(size of the smaller endpoint
-    star), where subdivide_edge() copies the whole complex; freeze()
-    returns an immutable SimplicialComplex and leaves the builder usable.
+    sets, the tags and the next free id, above every id, so ids run in step
+    order. The stars are its one incidence record: the facets are read from
+    them. subdivide() costs O(size of the smaller endpoint star), where
+    subdivide_edge() copies the complex; freeze() returns an immutable copy.
     """
 
-    __slots__ = ("star", "adj", "tags", "next_id", "steps")
+    __slots__ = ("star", "adj", "tags", "next_id")
 
     def __init__(self, X: SimplicialComplex):
         self.star = _derive_star(X.facets)
         self.adj = {v: set(nbrs) for v, nbrs in X._adj.items()}
         self.tags = dict(X.tags)
         self.next_id = max(X.tags) + 1 if X.tags else 0
-        self.steps = X.subdivision_vertex_count()
 
     @property
     def facets(self) -> frozenset[tuple[int, ...]]:
         """Every facet: the union of the stars."""
         return frozenset().union(*self.star.values())
-
-    def is_original(self, v: int) -> bool:
-        return isinstance(self.tags[v], OriginalTag)
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
@@ -242,8 +235,7 @@ class ComplexBuilder:
         adj, star = self.adj, self.star
         w = self.next_id
         self.next_id += 1
-        self.steps += 1
-        self.tags[w] = SubdivisionTag(parent_edge=(u, v), step=self.steps)
+        self.tags[w] = SubdivisionTag(parent_edge=(u, v))
         star[w] = set()
         for facet in facets:
             for x in facet:
@@ -278,8 +270,9 @@ def build_from_facets(
 ) -> SimplicialComplex:
     """Validate facets and tags and build a complex: the one check of complex
     data. Facets are any iterables of distinct ids, each sorted here into a
-    tuple. Tags, when given, must name exactly the vertices; without them each
-    vertex gets OriginalTag(position=id+1), the 1-based position of reports.
+    tuple. Tags, when given, must name exactly the vertices, and a parent edge
+    two vertices, smaller first, both below its child; without them every
+    vertex is original.
     """
     facet_tuples = [tuple(sorted(f)) for f in facets]
     if not facet_tuples:
@@ -312,11 +305,16 @@ def build_from_facets(
     if verts[0] < 0:
         raise UnknownVertex(f"negative vertex id {verts[0]}")
     if tags is None:
-        tags = {v: OriginalTag(position=v + 1) for v in verts}
+        tags = dict.fromkeys(verts, OriginalTag())
     elif tags.keys() != set(verts):
         missing = sorted(set(verts).difference(tags))
         extra = sorted(set(tags).difference(verts))
         raise UnknownVertex(f"tags miss vertices {missing} and name non-vertices {extra}")
+    for w, tag in tags.items():
+        if isinstance(tag, SubdivisionTag):
+            u, v = tag.parent_edge
+            if not (u < v < w and u in tags and v in tags):
+                raise NotAnEdge(f"parent edge {[u, v]} of {w} is not two smaller vertices in order")
     X.tags.update((v, tags[v]) for v in verts)
     return X
 

@@ -7,7 +7,7 @@ and the only minimal non-faces are the empty triangles: 3-sets containing
 no cyclically adjacent pair, generated from that closed form (a function of
 n alone) as sorted tuples. The sphere is a plain SimplicialComplex.
 
-Vertices are 0-indexed internally; reports and tags use 1-based positions.
+Vertices are 0-indexed internally; reports and files give v the position v + 1.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ A round performs at most four subdivisions and a run needs at most
 4*C(n,2) in total; hard guards (4 per round, 5*C(n,2) overall) raise
 InvariantViolation with the recent event trail instead of looping. The
 run's trace is a plain tuple of its events in order: (u, v, w) for edge
-u-v subdivided by fresh vertex w, which complexes.replay re-applies.
+u-v subdivided by fresh vertex w, read off the tags of w = n, n+1, ... (the
+builder issues ids in step order); complexes.replay re-applies it.
 """
 
 from __future__ import annotations
@@ -57,16 +58,15 @@ class FlagifyState:
     `rest` streams, in lexicographic order, the empty triangles of the cyclic
     sphere on `n` vertices after `target`, which is None once the stream is
     spent; every one before `target` is dead, and one is live while its three
-    edges exist. Between rounds every empty triangle is all-original. After
-    an InvariantViolation the state is not usable.
+    edges exist. Between rounds every empty triangle is all-original, that is
+    on the ids below `n`. After an InvariantViolation the state is not usable.
     """
 
-    __slots__ = ("builder", "embedded", "events", "n", "rest", "target", "rounds")
+    __slots__ = ("builder", "embedded", "n", "rest", "target", "rounds")
 
     def __init__(self, builder: ComplexBuilder, embedded: Graph, n: int):
         self.builder = builder
         self.embedded = embedded
-        self.events: list[tuple[int, int, int]] = []
         self.n = n
         self.rest = empty_triangles(n)
         self.target: Triangle | None = next(self.rest, None)
@@ -74,7 +74,7 @@ class FlagifyState:
 
     @property
     def subdivision_count(self) -> int:
-        return len(self.events)
+        return self.builder.next_id - self.n
 
     @property
     def all_original(self) -> set[Triangle]:
@@ -130,15 +130,21 @@ def _in_embedded(g: Graph, a: int, b: int) -> bool:
     return a < g.n and b < g.n and g.has_edge(a, b)
 
 
+def _events(state: FlagifyState) -> tuple[tuple[int, int, int], ...]:
+    """The run's (u, v, w) events so far, read off the tags of w = n, n+1, ..."""
+    tags = state.builder.tags
+    return tuple((*tags[w].parent_edge, w) for w in range(state.n, state.builder.next_id))
+
+
 def _trail(state: FlagifyState) -> str:
-    return ", ".join(f"{u}-{v}->{w}" for u, v, w in state.events[-6:])
+    return ", ".join(f"{u}-{v}->{w}" for u, v, w in _events(state)[-6:])
 
 
 def _subdivide(
     state: FlagifyState, edge: tuple[int, int], round_start: int, pending: set[Triangle]
 ) -> None:
     """Subdivide, update the round's `pending` triangles, enforce the local laws."""
-    if len(state.events) - round_start >= 4:
+    if state.subdivision_count - round_start >= 4:
         raise InvariantViolation(
             f"repair cascade exceeds 4 subdivisions in one round; trail: {_trail(state)}"
         )
@@ -155,13 +161,12 @@ def _subdivide(
         )
     for x, y in born_pairs:
         # w is the largest id so far, so the sorted triangle ends with it
-        if not (builder.is_original(x) and builder.is_original(y)):
+        if not (x < state.n and y < state.n):
             raise InvariantViolation(
                 f"new empty triangle {[x, y, w]} has a non-original partner; "
                 f"trail: {_trail(state)}"
             )
         pending.add((x, y, w))
-    state.events.append((u, v, w))
 
 
 def _next_target(state: FlagifyState) -> Triangle | None:
@@ -188,7 +193,7 @@ def eliminate_round(state: FlagifyState) -> FlagifyState:
     if target is None:
         raise InvariantViolation("no empty triangle left to eliminate")
     g = state.embedded
-    round_start = len(state.events)
+    round_start = state.subdivision_count
     a, b, c = target
     primary = next(
         (e for e in ((a, b), (a, c), (b, c)) if not _in_embedded(g, *e)),
@@ -260,10 +265,8 @@ def flagify(
         round_count=state.rounds,
         bound=vertex_bound(n),
     )
-    if report.final_vertex_count != n + report.subdivision_count:
-        raise InvariantViolation("vertex accounting mismatch")
     if report.final_vertex_count > report.bound:
         raise InvariantViolation(
             f"vertex count {report.final_vertex_count} exceeds bound {report.bound}"
         )
-    return complex_, report, tuple(state.events)
+    return complex_, report, _events(state)

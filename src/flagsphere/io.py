@@ -38,6 +38,7 @@ def _data_lines(path: str | Path) -> list[str]:
 # facet lines: space-separated decimal vertex ids, one facet per line
 # optional trailing block: a "tags:" line, then one line per vertex, either
 #   "<id> original <position>"  or  "<id> subdiv <u> <v> <step>"
+# the ids fix the rest: a position is id + 1 and the steps run 1, 2, ... in id order
 
 
 def write_complex(X: SimplicialComplex, path: str | Path) -> None:
@@ -45,21 +46,23 @@ def write_complex(X: SimplicialComplex, path: str | Path) -> None:
     for facet in sorted(X.facets):
         lines.append(" ".join(str(v) for v in facet))
     lines.append("tags:")
+    step = 0
     for v in X.vertices:
         tag = X.tags[v]
         if isinstance(tag, OriginalTag):
-            lines.append(f"{v} original {tag.position}")
+            lines.append(f"{v} original {v + 1}")
         else:
-            u, w = tag.parent_edge
-            lines.append(f"{v} subdiv {u} {w} {tag.step}")
+            step += 1
+            lines.append(f"{v} subdiv {tag.parent_edge[0]} {tag.parent_edge[1]} {step}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_complex(path: str | Path) -> SimplicialComplex:
     """Tokenise a complex file for build_from_facets, the one check of complex data.
-    Only an unparsable line, a second "tags:" header or a repeated tag is refused here."""
+    Only a line off the format above, a second "tags:" header or a repeated tag is refused here."""
     facets: list[tuple[int, ...]] = []
     tags: dict[int, object] = {}
+    steps: dict[int, int] = {}
     in_tags = False
     for line in _data_lines(path):
         if line == "tags:":
@@ -79,18 +82,19 @@ def read_complex(path: str | Path) -> SimplicialComplex:
                 kind = parts[1]
                 if vid in tags:
                     raise ParseError(f"vertex {vid} tagged twice")
-                if kind == "original" and len(parts) == 3:
-                    tags[vid] = OriginalTag(position=int(parts[2]))
+                if kind == "original" and len(parts) == 3 and int(parts[2]) == vid + 1:
+                    tags[vid] = OriginalTag()
                 elif kind == "subdiv" and len(parts) == 5:
-                    tags[vid] = SubdivisionTag(
-                        parent_edge=(int(parts[2]), int(parts[3])), step=int(parts[4])
-                    )
+                    tags[vid] = SubdivisionTag(parent_edge=(int(parts[2]), int(parts[3])))
+                    steps[vid] = int(parts[4])
                 else:
                     raise ValueError
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"bad tag line {line!r}") from exc
+    if [steps[v] for v in sorted(steps)] != list(range(1, len(steps) + 1)):
+        raise ParseError("subdivision steps do not run 1, 2, ... in id order")
     try:
-        return build_from_facets(facets, tags or None)
+        return build_from_facets(facets, tags if in_tags else None)
     except FlagsphereError as exc:
         # malformed file contents surface as a parse failure
         raise ParseError(f"invalid complex file: {exc}") from exc

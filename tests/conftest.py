@@ -43,6 +43,27 @@ PROCESS_CASES = [
     (15, 6), (16, 7), (17, 8), (18, 9), (20, 10),
 ]
 
+# complex files on the boundary of the 4-simplex (a 3-sphere, so `verify`
+# reads them whole) whose tags break a rule of the ids: a position is id + 1,
+# the steps run 1, 2, ... in id order, a parent edge is two smaller vertices,
+# smaller first, and a "tags:" block tags every vertex
+_SIMPLEX = "0 1 2 3\n0 1 2 4\n0 1 3 4\n0 2 3 4\n1 2 3 4\ntags:\n"
+_FIRST_THREE = "0 original 1\n1 original 2\n2 original 3\n"
+BAD_TAG_FILES = {
+    "position-negative": _SIMPLEX + "0 original -5\n1 original 2\n2 original 3\n"
+    "3 original 4\n4 original 5\n",
+    "position-repeated": _SIMPLEX + "0 original 1\n1 original 2\n2 original 2\n"
+    "3 original 4\n4 original 5\n",
+    "subdiv-loop-on-non-vertices-step-0": _SIMPLEX + _FIRST_THREE
+    + "3 subdiv 9 9 0\n4 original 5\n",
+    "steps-out-of-id-order": _SIMPLEX + _FIRST_THREE + "3 subdiv 0 1 2\n4 subdiv 1 2 1\n",
+    "parent-larger-first": _SIMPLEX + _FIRST_THREE + "3 original 4\n4 subdiv 2 1 1\n",
+    # vertex 1 is missing, so the parent pair 0-1 is below 5 and in order
+    "parent-not-a-vertex": "0 2 3 4\n0 2 3 5\n0 2 4 5\n0 3 4 5\n2 3 4 5\ntags:\n"
+    "0 original 1\n2 original 3\n3 original 4\n4 original 5\n5 subdiv 0 1 1\n",
+    "empty-tags-block": _SIMPLEX,
+}
+
 
 def simplex_boundary():
     """Boundary of the 4-simplex: all 4-subsets of {0..4}."""
@@ -145,10 +166,13 @@ def dominated_pair_scan(facets) -> tuple[tuple[int, ...], tuple[int, ...]] | Non
 
 def read_complex_reference(path: str | Path) -> SimplicialComplex:
     """Oracle for io.read_complex: the reader as it was when it checked repeated
-    ids and tag coverage itself, before build_from_facets took those checks."""
+    ids and tag coverage itself, before build_from_facets took those checks.
+    A position must be id + 1, the steps run 1, 2, ... in id order, and a
+    "tags:" header makes the tag dict, empty or not, the complex's tags."""
     lines = _data_lines(path)
     facets: list[frozenset[int]] = []
     tags: dict[int, object] = {}
+    steps: list[tuple[int, int]] = []
     in_tags = False
     for line in lines:
         if line == "tags:":
@@ -171,21 +195,25 @@ def read_complex_reference(path: str | Path) -> SimplicialComplex:
                 if vid in tags:
                     raise ParseError(f"vertex {vid} tagged twice")
                 if kind == "original" and len(parts) == 3:
-                    tags[vid] = OriginalTag(position=int(parts[2]))
+                    if int(parts[2]) != vid + 1:
+                        raise ParseError(f"vertex {vid} is not at position {vid + 1}")
+                    tags[vid] = OriginalTag()
                 elif kind == "subdiv" and len(parts) == 5:
-                    tags[vid] = SubdivisionTag(
-                        parent_edge=(int(parts[2]), int(parts[3])), step=int(parts[4])
-                    )
+                    tags[vid] = SubdivisionTag(parent_edge=(int(parts[2]), int(parts[3])))
+                    steps.append((vid, int(parts[4])))
                 else:
                     raise ValueError
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"bad tag line {line!r}") from exc
+    for rank, (vid, step) in enumerate(sorted(steps), 1):
+        if step != rank:
+            raise ParseError(f"subdivision vertex {vid} has step {step}, not {rank}")
     try:
-        complex_ = build_from_facets(facets, tags if tags else None)
+        complex_ = build_from_facets(facets, tags if in_tags else None)
     except FlagsphereError as exc:
         # malformed file contents surface as a parse failure
         raise ParseError(f"invalid complex file: {exc}") from exc
-    if tags:
+    if in_tags:
         missing = set(complex_.vertices) - set(tags)
         extra = set(tags) - set(complex_.vertices)
         if missing or extra:
@@ -324,7 +352,7 @@ def link_is_2_sphere_reference(triangles) -> bool:
     of its f-vector."""
     lk = SimplicialComplex(
         frozenset(tuple(sorted(t)) for t in triangles),
-        {u: OriginalTag(u + 1) for t in triangles for u in t},
+        {u: OriginalTag() for t in triangles for u in t},
     )
     if lk.is_empty or lk.dimension != 2:
         return False
@@ -373,8 +401,7 @@ def subdivide_edge_scan(X, edge) -> tuple[SimplicialComplex, int]:
             facets += [facet - {v} | {w}, facet - {u} | {w}]
         else:
             facets.append(facet)
-    step = X.subdivision_vertex_count() + 1
-    tags = {**X.tags, w: SubdivisionTag(parent_edge=(u, v), step=step)}
+    tags = {**X.tags, w: SubdivisionTag(parent_edge=(u, v))}
     return build_from_facets(facets, tags), w
 
 
@@ -449,6 +476,13 @@ def flagify_reference(g: Graph, n: int) -> ReferenceState:
     while state.all_original:
         state = reference_round(state)
     return state
+
+
+def events_of(state) -> tuple[tuple[int, int, int], ...]:
+    """The (u, v, w) events of a flagify run so far, read off the tags of its
+    fresh vertices: every id from the polytope's n on, in increasing order."""
+    tags = state.builder.tags
+    return tuple((*tags[w].parent_edge, w) for w in sorted(tags) if w >= state.n)
 
 
 def k_colorable_reference(g: Graph, k: int, budget) -> list[int] | None:

@@ -13,6 +13,8 @@ from flagsphere.cli import build_parser, main
 from flagsphere.graphs import NODE_BUDGET
 from flagsphere.io import read_complex, write_graph
 
+from conftest import BAD_TAG_FILES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -465,6 +467,15 @@ def test_file_not_utf8_exit_two(tmp_path, capsys, kind):
         "config": ["random-clique", "--config", str(bad)],
     }[kind]
     code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:")
+
+
+@pytest.mark.parametrize("text", BAD_TAG_FILES.values(), ids=BAD_TAG_FILES)
+def test_tags_the_ids_contradict_exit_two(tmp_path, capsys, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, out, err = run(capsys, "verify", "--in", str(bad), "--seed", "1")
     assert (code, out) == (2, "")
     assert err.startswith("ParseError:")
 

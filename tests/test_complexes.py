@@ -88,12 +88,12 @@ class TestBuild:
             build_from_facets([(0, 1, 2), (2, 3, 3)])
 
     def test_tags_missing_a_vertex(self):
-        tags = {v: OriginalTag(position=v + 1) for v in range(4)}
+        tags = {v: OriginalTag() for v in range(4)}
         with pytest.raises(UnknownVertex, match=r"miss vertices \[4\]"):
             build_from_facets([(0, 1, 2, 3), (1, 2, 3, 4)], tags)
 
     def test_tag_for_a_vertex_in_no_facet(self):
-        tags = {v: OriginalTag(position=v + 1) for v in (0, 1, 2, 3, 9)}
+        tags = {v: OriginalTag() for v in (0, 1, 2, 3, 9)}
         with pytest.raises(UnknownVertex, match=r"non-vertices \[9\]"):
             build_from_facets([(0, 1, 2, 3)], tags)
 
@@ -105,7 +105,20 @@ class TestBuild:
 
     def test_default_tags_are_original_positions(self):
         tri = triangle_boundary()
-        assert all(tri.tags[v].position == v + 1 for v in tri.vertices)
+        assert tri.tags == {v: OriginalTag() for v in tri.vertices}
+
+    @pytest.mark.parametrize(
+        "parent_edge",
+        [(2, 1), (1, 1), (0, 4), (-1, 2), (2, 5), (3, 6)],
+        ids=["larger-first", "loop", "non-vertex", "negative", "child-in-pair", "above-child"],
+    )
+    def test_parent_edge_must_be_two_smaller_vertices_in_order(self, parent_edge):
+        # vertex 5 is subdivision-tagged; its parents must be vertices below 5 (4 is none)
+        facets = [(0, 1, 2, 5), (1, 2, 3, 5), (0, 2, 3, 6), (1, 3, 5, 6)]
+        tags = {v: OriginalTag() for v in (0, 1, 2, 3, 6)}
+        tags[5] = SubdivisionTag(parent_edge=parent_edge)
+        with pytest.raises(NotAnEdge, match="parent edge"):
+            build_from_facets(facets, tags)
 
 
 class TestIsFace:
@@ -204,8 +217,7 @@ class TestSubdivideEdge:
             frozenset({0, 1}),
             frozenset({w, 2, 3, 4}),
         }
-        assert isinstance(Y.tags[w], SubdivisionTag)
-        assert Y.tags[w].parent_edge == (0, 1)
+        assert Y.tags[w] == SubdivisionTag(parent_edge=(0, 1))
 
     def test_triangle_becomes_square(self):
         Y, w = subdivide_edge(triangle_boundary(), (0, 1))
@@ -230,7 +242,7 @@ class TestSubdivideEdge:
         X1, w1 = subdivide_edge(X, (0, 2))
         X2, w2 = subdivide_edge(X1, (1, 3))
         assert (w1, w2) == (6, 7)
-        assert X2.tags[w2].step == 2
+        assert (X2.tags[w1], X2.tags[w2]) == (SubdivisionTag((0, 2)), SubdivisionTag((1, 3)))
 
 
 class TestFVector:

@@ -26,6 +26,8 @@ from flagsphere.errors import (
 )
 from flagsphere.graphs import triangle_free_process
 
+from conftest import events_of
+
 # the package re-exports the function flagify under the module's name
 flagify_module = importlib.import_module("flagsphere.flagify")
 
@@ -33,7 +35,7 @@ flagify_module = importlib.import_module("flagsphere.flagify")
 def _put_back_a_replaced_facet(state):
     """Leave a stale entry in a star: a facet the first subdivision u-v -> w
     replaced goes back into u's star."""
-    u, v, w = state.events[0]
+    u, v, w = events_of(state)[0]
     star = state.builder.star[u]
     stale = next(tuple(sorted(frozenset(f) - {w} | {v})) for f in star if w in f)
     assert stale not in state.builder.facets
@@ -98,7 +100,7 @@ class TestEliminateRound:
         while state.all_original:
             before_events = state.subdivision_count
             state = eliminate_round(state)
-            u, v, _ = state.events[before_events]  # primary edge of the round
+            u, v, _ = events_of(state)[before_events]  # primary edge of the round
             destroyed.append((u, v))
             assert all(not state.builder.has_edge(a, b) for a, b in destroyed)
 
@@ -120,7 +122,7 @@ class TestAudit:
 
     def test_stale_adjacency_fails(self):
         state = eliminate_round(embed(Graph.cycle(5), 8))
-        u, v, _ = state.events[0]
+        u, v, _ = events_of(state)[0]
         state.builder.adj[u].add(v)
         assert not audit_state(state)
 

@@ -22,7 +22,7 @@ from flagsphere.io import (
     write_trace,
 )
 
-from conftest import PROCESS_CASES, read_complex_reference
+from conftest import BAD_TAG_FILES, PROCESS_CASES, read_complex_reference
 
 
 def test_complex_roundtrip_with_subdivision_tags(tmp_path):
@@ -170,6 +170,7 @@ MALFORMED_COMPLEX_FILES = {
     "empty": "",
     "only-comments": "# no facets\n",
     "second-tags-header": "0 1 2\ntags:\n0 original 1\n1 original 2\n2 original 3\ntags:\n",
+    **BAD_TAG_FILES,
 }
 
 

@@ -8,9 +8,7 @@ clique-complex experiments.
 from .complexes import (
     ComplexBuilder,
     FVector,
-    OriginalTag,
     SimplicialComplex,
-    SubdivisionTag,
     VerificationReport,
     build_from_facets,
     f_vector,

@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
             "is_flag": flag,
             "manifold_checks": checks.as_dict(),
             "empty_triangle_count": empty_tris,
-            "subdivision_count": X.subdivision_vertex_count(),
+            "subdivision_count": sum(e is not None for e in X.parents.values()),
             "chromatic_upper": chromatic_upper,
             "chromatic_lower": None,
             "alpha_lower": alpha.greedy_size,

@@ -2,7 +2,7 @@
 
 The central object is :class:`SimplicialComplex`: an antichain of equal-size
 facets over integer vertex ids, with a derived vertex adjacency cache and a
-provenance tag per vertex (original vs. the child of a parent edge).
+parent map: None for an original vertex, the subdivided edge for the rest.
 Complexes are immutable after construction. Long runs of edge subdivisions
 go through :class:`ComplexBuilder`, a mutable copy whose vertex -> facets
 stars are its one incidence record, frozen into a new complex at the end.
@@ -28,22 +28,6 @@ from .errors import (
     WrongDimension,
 )
 from .graphs import cliques, forward_rows
-
-
-@dataclass(frozen=True)
-class OriginalTag:
-    """Vertex present in the initial complex; its 1-based position is id + 1."""
-
-
-@dataclass(frozen=True)
-class SubdivisionTag:
-    """Vertex created by subdividing parent_edge (smaller id first, both below
-    the vertex); its 1-based step is its rank among the subdivision vertices."""
-
-    parent_edge: tuple[int, int]
-
-
-VertexTag = OriginalTag | SubdivisionTag
 
 
 @dataclass(frozen=True)
@@ -93,18 +77,20 @@ class SimplicialComplex:
     size forming an antichain; adjacency is derived from the facets. The
     constructor trusts its facets to be such tuples and checks nothing: for
     user data use :func:`build_from_facets`, which sorts and validates.
+    `parents` maps each vertex to None (original) or to the edge (u, v),
+    u < v, whose subdivision made it.
     """
 
-    __slots__ = ("facets", "tags", "_adj", "_vertices")
+    __slots__ = ("facets", "parents", "_adj", "_vertices")
 
     def __init__(
         self,
         facets: frozenset[tuple[int, ...]],
-        tags: dict[int, VertexTag],
+        parents: dict[int, tuple[int, int] | None],
         adjacency: dict[int, set[int]] | None = None,
     ):
         self.facets = facets
-        self.tags = tags
+        self.parents = parents
         if adjacency is None:
             adjacency = _derive_adjacency(facets)
         self._adj = adjacency
@@ -144,16 +130,10 @@ class SimplicialComplex:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in self._vertices for v in sorted(self._adj[u]) if u < v]
 
-    def is_original(self, v: int) -> bool:
-        return isinstance(self.tags[v], OriginalTag)
-
-    def subdivision_vertex_count(self) -> int:
-        return sum(1 for t in self.tags.values() if isinstance(t, SubdivisionTag))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.facets == other.facets and self.tags == other.tags
+        return self.facets == other.facets and self.parents == other.parents
 
     def __hash__(self):
         return hash(self.facets)
@@ -190,19 +170,19 @@ class ComplexBuilder:
     """Mutable copy of a complex for long runs of edge subdivisions.
 
     It holds each vertex's star (its facets, as sorted tuples), the adjacency
-    sets, the tags and the next free id, above every id, so ids run in step
+    sets, the parents and the next free id, above every id, so ids run in step
     order. The stars are its one incidence record: the facets are read from
     them. subdivide() costs O(size of the smaller endpoint star), where
     subdivide_edge() copies the complex; freeze() returns an immutable copy.
     """
 
-    __slots__ = ("star", "adj", "tags", "next_id")
+    __slots__ = ("star", "adj", "parents", "next_id")
 
     def __init__(self, X: SimplicialComplex):
         self.star = _derive_star(X.facets)
         self.adj = {v: set(nbrs) for v, nbrs in X._adj.items()}
-        self.tags = dict(X.tags)
-        self.next_id = max(X.tags) + 1 if X.tags else 0
+        self.parents = dict(X.parents)
+        self.next_id = X.vertices[-1] + 1 if X.vertices else 0
 
     @property
     def facets(self) -> frozenset[tuple[int, ...]]:
@@ -235,7 +215,7 @@ class ComplexBuilder:
         adj, star = self.adj, self.star
         w = self.next_id
         self.next_id += 1
-        self.tags[w] = SubdivisionTag(parent_edge=(u, v))
+        self.parents[w] = (u, v)
         star[w] = set()
         for facet in facets:
             for x in facet:
@@ -260,18 +240,18 @@ class ComplexBuilder:
         """An immutable copy of the current complex."""
         return SimplicialComplex(
             self.facets,
-            dict(self.tags),
+            dict(self.parents),
             {v: set(nbrs) for v, nbrs in self.adj.items()},
         )
 
 
 def build_from_facets(
-    facets, tags: dict[int, VertexTag] | None = None
+    facets, parents: dict[int, tuple[int, int] | None] | None = None
 ) -> SimplicialComplex:
-    """Validate facets and tags and build a complex: the one check of complex
+    """Validate facets and parents and build a complex: the one check of complex
     data. Facets are any iterables of distinct ids, each sorted here into a
-    tuple. Tags, when given, must name exactly the vertices, and a parent edge
-    two vertices, smaller first, both below its child; without them every
+    tuple. Parents, when given, must name exactly the vertices, and a parent
+    edge two vertices, smaller first, both below its child; without them every
     vertex is original.
     """
     facet_tuples = [tuple(sorted(f)) for f in facets]
@@ -300,22 +280,22 @@ def build_from_facets(
                 if len(big) > len(small) and set(small).issubset(big):
                     raise DominatedFacet(f"facet {list(small)} is contained in {list(big)}")
         raise NonPure(f"facet cardinalities {sorted(sizes)} are mixed")
-    X = SimplicialComplex(unique, {})  # its tags are filled below, from its vertices
+    X = SimplicialComplex(unique, {})  # its parents are filled below, from its vertices
     verts = X.vertices
     if verts[0] < 0:
         raise UnknownVertex(f"negative vertex id {verts[0]}")
-    if tags is None:
-        tags = dict.fromkeys(verts, OriginalTag())
-    elif tags.keys() != set(verts):
-        missing = sorted(set(verts).difference(tags))
-        extra = sorted(set(tags).difference(verts))
+    if parents is None:
+        parents = dict.fromkeys(verts)
+    elif parents.keys() != set(verts):
+        missing = sorted(set(verts).difference(parents))
+        extra = sorted(set(parents).difference(verts))
         raise UnknownVertex(f"tags miss vertices {missing} and name non-vertices {extra}")
-    for w, tag in tags.items():
-        if isinstance(tag, SubdivisionTag):
-            u, v = tag.parent_edge
-            if not (u < v < w and u in tags and v in tags):
+    for w, edge in parents.items():
+        if edge is not None:
+            u, v = edge
+            if not (u < v < w and u in parents and v in parents):
                 raise NotAnEdge(f"parent edge {[u, v]} of {w} is not two smaller vertices in order")
-    X.tags.update((v, tags[v]) for v in verts)
+    X.parents.update((v, parents[v]) for v in verts)
     return X
 
 
@@ -377,8 +357,8 @@ def is_flag(X: SimplicialComplex) -> bool:
 def subdivide_edge(X: SimplicialComplex, edge) -> tuple[SimplicialComplex, int]:
     """Subdivide an edge: facets {u,v}|s become {u,w}|s and {v,w}|s.
 
-    The new vertex w gets the next free id and a SubdivisionTag. Facets not
-    containing the edge are unchanged; {u,v} is a non-face of the result.
+    The new vertex w gets the next free id and the parent edge (u, v). Facets
+    not containing the edge are unchanged; {u,v} is a non-face of the result.
     Costs a copy of X; chains of subdivisions should use one ComplexBuilder.
     """
     builder = ComplexBuilder(X)

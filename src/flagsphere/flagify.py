@@ -28,7 +28,7 @@ A round performs at most four subdivisions and a run needs at most
 4*C(n,2) in total; hard guards (4 per round, 5*C(n,2) overall) raise
 InvariantViolation with the recent event trail instead of looping. The
 run's trace is a plain tuple of its events in order: (u, v, w) for edge
-u-v subdivided by fresh vertex w, read off the tags of w = n, n+1, ... (the
+u-v subdivided by fresh vertex w, read off the parents of w = n, n+1, ... (the
 builder issues ids in step order); complexes.replay re-applies it.
 """
 
@@ -131,9 +131,9 @@ def _in_embedded(g: Graph, a: int, b: int) -> bool:
 
 
 def _events(state: FlagifyState) -> tuple[tuple[int, int, int], ...]:
-    """The run's (u, v, w) events so far, read off the tags of w = n, n+1, ..."""
-    tags = state.builder.tags
-    return tuple((*tags[w].parent_edge, w) for w in range(state.n, state.builder.next_id))
+    """The run's (u, v, w) events so far, read off the parents of w = n, n+1, ..."""
+    parents = state.builder.parents
+    return tuple((*parents[w], w) for w in range(state.n, state.builder.next_id))
 
 
 def _trail(state: FlagifyState) -> str:

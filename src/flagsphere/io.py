@@ -9,19 +9,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .complexes import (
-    OriginalTag,
-    SimplicialComplex,
-    SubdivisionTag,
-    build_from_facets,
-)
+from .complexes import SimplicialComplex, build_from_facets
 from .errors import FlagsphereError, ParseError
 from .graphs import Coloring, Graph
 
 
 def _data_lines(path: str | Path) -> list[str]:
     """The file's lines, stripped, without blank and '#' lines; bytes that are
-    not UTF-8 are a ParseError."""
+    not UTF-8 are a ParseError, and so is a data line that is not ASCII or has
+    a '_' or '+', which int() would take in a number the formats do not have."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -30,6 +26,8 @@ def _data_lines(path: str | Path) -> list[str]:
     for raw in text.splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
+            if not raw.isascii() or "_" in line or "+" in line:
+                raise ParseError(f"bad characters in line {line!r}")
             out.append(line)
     return out
 
@@ -38,7 +36,8 @@ def _data_lines(path: str | Path) -> list[str]:
 # facet lines: space-separated decimal vertex ids, one facet per line
 # optional trailing block: a "tags:" line, then one line per vertex, either
 #   "<id> original <position>"  or  "<id> subdiv <u> <v> <step>"
-# the ids fix the rest: a position is id + 1 and the steps run 1, 2, ... in id order
+# the ids fix the rest: a position is id + 1 and the steps run 1, 2, ... in id order;
+# a complex keeps only X.parents: None for "original", (u, v) for "subdiv u v"
 
 
 def write_complex(X: SimplicialComplex, path: str | Path) -> None:
@@ -48,12 +47,12 @@ def write_complex(X: SimplicialComplex, path: str | Path) -> None:
     lines.append("tags:")
     step = 0
     for v in X.vertices:
-        tag = X.tags[v]
-        if isinstance(tag, OriginalTag):
+        edge = X.parents[v]
+        if edge is None:
             lines.append(f"{v} original {v + 1}")
         else:
             step += 1
-            lines.append(f"{v} subdiv {tag.parent_edge[0]} {tag.parent_edge[1]} {step}")
+            lines.append(f"{v} subdiv {edge[0]} {edge[1]} {step}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -61,7 +60,7 @@ def read_complex(path: str | Path) -> SimplicialComplex:
     """Tokenise a complex file for build_from_facets, the one check of complex data.
     Only a line off the format above, a second "tags:" header or a repeated tag is refused here."""
     facets: list[tuple[int, ...]] = []
-    tags: dict[int, object] = {}
+    parents: dict[int, tuple[int, int] | None] = {}
     steps: dict[int, int] = {}
     in_tags = False
     for line in _data_lines(path):
@@ -80,12 +79,12 @@ def read_complex(path: str | Path) -> SimplicialComplex:
             try:
                 vid = int(parts[0])
                 kind = parts[1]
-                if vid in tags:
+                if vid in parents:
                     raise ParseError(f"vertex {vid} tagged twice")
                 if kind == "original" and len(parts) == 3 and int(parts[2]) == vid + 1:
-                    tags[vid] = OriginalTag()
+                    parents[vid] = None
                 elif kind == "subdiv" and len(parts) == 5:
-                    tags[vid] = SubdivisionTag(parent_edge=(int(parts[2]), int(parts[3])))
+                    parents[vid] = (int(parts[2]), int(parts[3]))
                     steps[vid] = int(parts[4])
                 else:
                     raise ValueError
@@ -94,7 +93,7 @@ def read_complex(path: str | Path) -> SimplicialComplex:
     if [steps[v] for v in sorted(steps)] != list(range(1, len(steps) + 1)):
         raise ParseError("subdivision steps do not run 1, 2, ... in id order")
     try:
-        return build_from_facets(facets, tags if in_tags else None)
+        return build_from_facets(facets, parents if in_tags else None)
     except FlagsphereError as exc:
         # malformed file contents surface as a parse failure
         raise ParseError(f"invalid complex file: {exc}") from exc

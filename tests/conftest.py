@@ -14,7 +14,6 @@ import pytest
 from flagsphere import (
     Coloring,
     Graph,
-    OriginalTag,
     SimplicialComplex,
     TruncatedCliqueComplex,
     build_from_facets,
@@ -24,7 +23,7 @@ from flagsphere import (
     minimal_nonfaces,
     mycielskian,
 )
-from flagsphere.complexes import SubdivisionTag, VerificationReport, _connected
+from flagsphere.complexes import VerificationReport, _connected
 from flagsphere.errors import (
     BadDimension,
     FlagsphereError,
@@ -139,7 +138,7 @@ def link(X: SimplicialComplex, face) -> SimplicialComplex:
     """Link of a face: the complex {sigma \\ f : f subset sigma in facets}.
 
     The link of a facet is the empty complex (is_empty reports it).
-    Vertices keep their ambient ids and tags.
+    Vertices keep their ambient ids and parents.
     """
     fs, cofacets = _cofacets(X, face)
     residues = {tuple([x for x in facet if x not in fs]) for facet in cofacets}
@@ -148,8 +147,8 @@ def link(X: SimplicialComplex, face) -> SimplicialComplex:
     if residues == {()}:
         return SimplicialComplex(frozenset(), {})
     verts = set().union(*residues)
-    tags = {v: X.tags[v] for v in verts}
-    return SimplicialComplex(frozenset(residues), tags)
+    parents = {v: X.parents[v] for v in verts}
+    return SimplicialComplex(frozenset(residues), parents)
 
 
 def dominated_pair_scan(facets) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -171,7 +170,7 @@ def read_complex_reference(path: str | Path) -> SimplicialComplex:
     "tags:" header makes the tag dict, empty or not, the complex's tags."""
     lines = _data_lines(path)
     facets: list[frozenset[int]] = []
-    tags: dict[int, object] = {}
+    tags: dict[int, tuple[int, int] | None] = {}
     steps: list[tuple[int, int]] = []
     in_tags = False
     for line in lines:
@@ -197,9 +196,9 @@ def read_complex_reference(path: str | Path) -> SimplicialComplex:
                 if kind == "original" and len(parts) == 3:
                     if int(parts[2]) != vid + 1:
                         raise ParseError(f"vertex {vid} is not at position {vid + 1}")
-                    tags[vid] = OriginalTag()
+                    tags[vid] = None
                 elif kind == "subdiv" and len(parts) == 5:
-                    tags[vid] = SubdivisionTag(parent_edge=(int(parts[2]), int(parts[3])))
+                    tags[vid] = (int(parts[2]), int(parts[3]))
                     steps.append((vid, int(parts[4])))
                 else:
                     raise ValueError
@@ -352,7 +351,7 @@ def link_is_2_sphere_reference(triangles) -> bool:
     of its f-vector."""
     lk = SimplicialComplex(
         frozenset(tuple(sorted(t)) for t in triangles),
-        {u: OriginalTag() for t in triangles for u in t},
+        {u: None for t in triangles for u in t},
     )
     if lk.is_empty or lk.dimension != 2:
         return False
@@ -394,15 +393,15 @@ def subdivide_edge_scan(X, edge) -> tuple[SimplicialComplex, int]:
     e = frozenset(edge)
     u, v = sorted(e)
     assert X.has_edge(u, v), f"{sorted(e)} is not an edge"
-    w = max(X.tags) + 1
+    w = max(X.parents) + 1
     facets = []
     for facet in map(frozenset, X.facets):
         if e <= facet:
             facets += [facet - {v} | {w}, facet - {u} | {w}]
         else:
             facets.append(facet)
-    tags = {**X.tags, w: SubdivisionTag(parent_edge=(u, v))}
-    return build_from_facets(facets, tags), w
+    parents = {**X.parents, w: (u, v)}
+    return build_from_facets(facets, parents), w
 
 
 def _reference_cascade_pairs(X, edge) -> set[frozenset[int]]:
@@ -441,7 +440,7 @@ def reference_round(state: ReferenceState) -> ReferenceState:
         e = frozenset(edge)
         all_original.difference_update({t for t in all_original if e <= t})
         pending.difference_update({t for t in pending if e <= t})
-        assert len(born_pairs) <= 2 and all(X.is_original(x) for p in born_pairs for x in p)
+        assert len(born_pairs) <= 2 and all(X.parents[x] is None for p in born_pairs for x in p)
         pending.update(pair | {w} for pair in born_pairs)
         events.append((*sorted(e), w))
 
@@ -451,7 +450,7 @@ def reference_round(state: ReferenceState) -> ReferenceState:
     assert target not in all_original
     while pending:
         t = min(pending, key=lambda s: tuple(sorted(s)))
-        (w,) = [x for x in t if not X.is_original(x)]
+        (w,) = [x for x in t if X.parents[x] is not None]
         o1, o2 = sorted(t - {w})
         candidates = [(w, o1), (w, o2)] + ([] if protected(o1, o2) else [(o1, o2)])
         subdivide(next(
@@ -479,10 +478,10 @@ def flagify_reference(g: Graph, n: int) -> ReferenceState:
 
 
 def events_of(state) -> tuple[tuple[int, int, int], ...]:
-    """The (u, v, w) events of a flagify run so far, read off the tags of its
-    fresh vertices: every id from the polytope's n on, in increasing order."""
-    tags = state.builder.tags
-    return tuple((*tags[w].parent_edge, w) for w in sorted(tags) if w >= state.n)
+    """The (u, v, w) events of a flagify run so far, read off the parents of
+    its fresh vertices: every id from the polytope's n on, in increasing order."""
+    parents = state.builder.parents
+    return tuple((*parents[w], w) for w in sorted(parents) if w >= state.n)
 
 
 def k_colorable_reference(g: Graph, k: int, budget) -> list[int] | None:

@@ -7,8 +7,7 @@ import time
 import pytest
 
 from flagsphere import (
-    OriginalTag,
-    SubdivisionTag,
+    SimplicialComplex,
     build_from_facets,
     cyclic_4_sphere,
     f_vector,
@@ -88,12 +87,12 @@ class TestBuild:
             build_from_facets([(0, 1, 2), (2, 3, 3)])
 
     def test_tags_missing_a_vertex(self):
-        tags = {v: OriginalTag() for v in range(4)}
+        tags = dict.fromkeys(range(4))
         with pytest.raises(UnknownVertex, match=r"miss vertices \[4\]"):
             build_from_facets([(0, 1, 2, 3), (1, 2, 3, 4)], tags)
 
     def test_tag_for_a_vertex_in_no_facet(self):
-        tags = {v: OriginalTag() for v in (0, 1, 2, 3, 9)}
+        tags = dict.fromkeys((0, 1, 2, 3, 9))
         with pytest.raises(UnknownVertex, match=r"non-vertices \[9\]"):
             build_from_facets([(0, 1, 2, 3)], tags)
 
@@ -105,7 +104,7 @@ class TestBuild:
 
     def test_default_tags_are_original_positions(self):
         tri = triangle_boundary()
-        assert tri.tags == {v: OriginalTag() for v in tri.vertices}
+        assert tri.parents == dict.fromkeys(tri.vertices)
 
     @pytest.mark.parametrize(
         "parent_edge",
@@ -115,8 +114,8 @@ class TestBuild:
     def test_parent_edge_must_be_two_smaller_vertices_in_order(self, parent_edge):
         # vertex 5 is subdivision-tagged; its parents must be vertices below 5 (4 is none)
         facets = [(0, 1, 2, 5), (1, 2, 3, 5), (0, 2, 3, 6), (1, 3, 5, 6)]
-        tags = {v: OriginalTag() for v in (0, 1, 2, 3, 6)}
-        tags[5] = SubdivisionTag(parent_edge=parent_edge)
+        tags = dict.fromkeys((0, 1, 2, 3, 6))
+        tags[5] = parent_edge
         with pytest.raises(NotAnEdge, match="parent edge"):
             build_from_facets(facets, tags)
 
@@ -217,7 +216,7 @@ class TestSubdivideEdge:
             frozenset({0, 1}),
             frozenset({w, 2, 3, 4}),
         }
-        assert Y.tags[w] == SubdivisionTag(parent_edge=(0, 1))
+        assert Y.parents[w] == (0, 1)
 
     def test_triangle_becomes_square(self):
         Y, w = subdivide_edge(triangle_boundary(), (0, 1))
@@ -242,7 +241,15 @@ class TestSubdivideEdge:
         X1, w1 = subdivide_edge(X, (0, 2))
         X2, w2 = subdivide_edge(X1, (1, 3))
         assert (w1, w2) == (6, 7)
-        assert (X2.tags[w1], X2.tags[w2]) == (SubdivisionTag((0, 2)), SubdivisionTag((1, 3)))
+        assert (X2.parents[w1], X2.parents[w2]) == ((0, 2), (1, 3))
+
+    def test_fresh_id_is_above_every_vertex_not_every_parent_key(self):
+        # the parent map names no vertex here, so only the facets give the top id 5
+        X = SimplicialComplex(cyclic_4_sphere(6).facets, {})
+        Y, w = subdivide_edge(X, (0, 1))
+        assert w == 6
+        assert Y.vertices == tuple(range(7))
+        assert Y.parents == {6: (0, 1)}
 
 
 class TestFVector:

@@ -195,7 +195,7 @@ class TestFlagify:
         X, _, _ = flagify(g, 9)
         for u, v in g.edges:
             assert X.has_edge(u, v)
-            assert X.is_original(u) and X.is_original(v)
+            assert X.parents[u] is None and X.parents[v] is None
 
     def test_path_with_two_protected_edges_in_one_triangle(self):
         # 1-indexed positions 1,3,5 form an empty triangle of the n=6 sphere;

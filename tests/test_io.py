@@ -184,6 +184,36 @@ def test_reader_and_reference_refuse_the_malformed_corpus(tmp_path, text):
         read_complex(path)
 
 
+# ids are ASCII decimals: int() would also take these spellings, so each file
+# below would otherwise read as a valid complex, graph or trace
+_SIMPLEX_HEAD = "0 1 2 3\n0 1 2 4\n0 1 3 4\n0 2 3 4\n"
+INTEGER_SPELLINGS = {
+    "complex-underscore": (read_complex, _SIMPLEX_HEAD + "1 2 3 1_0\n"),
+    "complex-plus": (read_complex, _SIMPLEX_HEAD + "1 2 3 +4\n"),
+    "complex-arabic-indic-digit": (read_complex, _SIMPLEX_HEAD + "1 2 3 ٤\n"),
+    "complex-no-break-space": (read_complex, _SIMPLEX_HEAD + "1 2 3\u00a04\n"),
+    "complex-tag-plus": (
+        read_complex,
+        _SIMPLEX_HEAD + "1 2 3 4\ntags:\n"
+        + "".join(f"{v} original {v + 1}\n" for v in range(4)) + "4 original +5\n",
+    ),
+    "graph-underscore": (read_graph, "11 1\n0 1_0\n"),
+    "graph-plus": (read_graph, "+3 1\n0 1\n"),
+    "graph-arabic-indic-digit": (read_graph, "3 1\n0 ١\n"),
+    "trace-underscore": (read_trace, "subdiv 0 1 -> 1_0\n"),
+    "trace-plus": (read_trace, "subdiv 0 +1 -> 6\n"),
+    "trace-arabic-indic-digit": (read_trace, "subdiv 0 1 -> ٦\n"),
+}
+
+
+@pytest.mark.parametrize("reader,text", INTEGER_SPELLINGS.values(), ids=INTEGER_SPELLINGS)
+def test_reader_refuses_integer_spellings_the_formats_do_not_have(tmp_path, reader, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match="bad characters"):
+        reader(path)
+
+
 # the flagify inputs of the golden corpus: (label, graph, n)
 GOLDEN_CORPUS = [
     ("C5", Graph.cycle(5), 6),
@@ -195,6 +225,7 @@ GOLDEN_CORPUS = [
 WELL_FORMED_COMPLEX_FILES = {
     "unsorted-with-comments": "# header\n3 1 0 2\n\n  4 2 1 3  \n# between\n0 4 2 1\n",
     "no-tag-block": "0 1 2\n1 2 3\n",
+    "comment-with-any-characters": "# ٤ 1_0 +4\n0 1 2\n1 2 3\n",
     "subdivision-tags": (
         "0 1 2\n1 2 3\ntags:\n3 subdiv 0 2 1\n0 original 1\n2 original 3\n1 original 2\n"
     ),
@@ -204,7 +235,7 @@ WELL_FORMED_COMPLEX_FILES = {
 @pytest.mark.parametrize("label", WELL_FORMED_COMPLEX_FILES)
 def test_reader_and_reference_agree_on_well_formed_files(tmp_path, label):
     path = tmp_path / "c.txt"
-    path.write_text(WELL_FORMED_COMPLEX_FILES[label])
+    path.write_text(WELL_FORMED_COMPLEX_FILES[label], encoding="utf-8")
     X, reference = read_complex(path), read_complex_reference(path)
     assert X == reference and X.vertices == reference.vertices
 

@@ -17,7 +17,6 @@ from .complexes import empty_triangles_of, is_flag, replay, verify_closed_3_mani
 # not called here; imported so perfbench/run.py can trace these call sites
 from .complexes import f_vector, minimal_nonfaces  # noqa: F401
 from .coloring import (
-    PLANAR_STRATEGIES,
     PeelParams,
     certify_lower_bound,
     measure_alpha,
@@ -69,7 +68,7 @@ def cmd_flagify(args) -> int:
 def _peel_params(args) -> PeelParams:
     """The peel options shared by verify and color; a rejected value is a ParseError."""
     try:
-        return PeelParams(x=args.x, planar_strategy=args.strategy, exact4_cap=args.cap)
+        return PeelParams(x=args.x, exact4_cap=args.cap)
     except ValueError as exc:
         raise ParseError(f"bad peel option: {exc}") from exc
 
@@ -210,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     peel = argparse.ArgumentParser(add_help=False)
     peel.add_argument("--x", type=float, default=PeelParams.x)
-    peel.add_argument("--strategy", choices=PLANAR_STRATEGIES, default=PeelParams.planar_strategy)
     peel.add_argument("--cap", type=int, default=PeelParams.exact4_cap)
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=NODE_BUDGET)

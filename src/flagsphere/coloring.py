@@ -42,7 +42,6 @@ from .graphs import (
 )
 
 DEFAULT_X = math.sqrt(5.0)
-PLANAR_STRATEGIES = ("exact4", "five", "greedy")
 # explored-node cap of the exact 4-coloring of one peeled neighborhood
 EXACT4_NODE_BUDGET = 500_000
 
@@ -50,7 +49,6 @@ EXACT4_NODE_BUDGET = 500_000
 @dataclass(frozen=True)
 class PeelParams:
     x: float = DEFAULT_X
-    planar_strategy: str = "exact4"  # one of PLANAR_STRATEGIES
     exact4_cap: int = 64
     allow_fallback: bool = True
 
@@ -59,8 +57,6 @@ class PeelParams:
             raise ValueError("x must be positive and finite")
         if self.exact4_cap < 0:
             raise ValueError(f"exact4_cap must be >= 0, got {self.exact4_cap}")
-        if self.planar_strategy not in PLANAR_STRATEGIES:
-            raise ValueError(f"unknown planar strategy {self.planar_strategy!r}")
 
 
 def greedy_degeneracy_color(g: Graph) -> Coloring:
@@ -123,23 +119,21 @@ def five_color_planar(g: Graph) -> Coloring:
 
 
 def _color_planar_patch(g: Graph, params: PeelParams) -> Coloring:
-    """Color one peeled neighborhood graph according to the strategy."""
-    if params.planar_strategy == "greedy":
-        return greedy_degeneracy_color(g)
-    if params.planar_strategy == "exact4":
-        found = None
-        if g.n <= params.exact4_cap:
-            try:
-                found = _k_colorable(g, 4, _Budget(EXACT4_NODE_BUDGET))
-            except SolverTimeout:
-                pass
-        if found is not None:
-            return Coloring({v: found[v] for v in range(g.n)})
-        if not params.allow_fallback:
-            raise PlanarStrategyFailure(
-                f"exact4 found no 4-coloring of a {g.n}-vertex neighborhood within its"
-                f" caps of {params.exact4_cap} vertices and {EXACT4_NODE_BUDGET} search nodes"
-            )
+    """4-color one peeled neighborhood exactly within the caps of params, else
+    5-color it by Kempe chains (PlanarStrategyFailure if fallback is off)."""
+    found = None
+    if g.n <= params.exact4_cap:
+        try:
+            found = _k_colorable(g, 4, _Budget(EXACT4_NODE_BUDGET))
+        except SolverTimeout:
+            pass
+    if found is not None:
+        return Coloring({v: found[v] for v in range(g.n)})
+    if not params.allow_fallback:
+        raise PlanarStrategyFailure(
+            f"exact4 found no 4-coloring of a {g.n}-vertex neighborhood within its"
+            f" caps of {params.exact4_cap} vertices and {EXACT4_NODE_BUDGET} search nodes"
+        )
     return five_color_planar(g)
 
 
@@ -150,7 +144,8 @@ def peel_color_3(X: SimplicialComplex, params: PeelParams | None = None) -> Colo
     its current neighborhood is colored with a fresh palette block and
     removed. The residual graph is colored greedily in degeneracy order.
     The total color count is at most ceil((p/x + x)*sqrt(n)) + 1 where p is
-    the largest palette block a strategy used (4 or 5).
+    the largest palette block used: 4 if every patch was 4-colored exactly,
+    else 5.
     """
     if params is None:
         params = PeelParams()

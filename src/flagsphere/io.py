@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .complexes import SimplicialComplex, build_from_facets
-from .errors import FlagsphereError, ParseError
+from .errors import FlagsphereError, ParseError, UnknownVertex
 from .graphs import Coloring, Graph
 
 
@@ -41,6 +41,9 @@ def _data_lines(path: str | Path) -> list[str]:
 
 
 def write_complex(X: SimplicialComplex, path: str | Path) -> None:
+    missing = [v for v in X.vertices if v not in X.parents]
+    if missing:
+        raise UnknownVertex(f"vertices {missing} have no parent entry")
     lines = ["# flagsphere complex: one facet per line"]
     for facet in sorted(X.facets):
         lines.append(" ".join(str(v) for v in facet))

@@ -32,7 +32,6 @@ from flagsphere.errors import (
     WrongDimension,
 )
 from flagsphere.graphs import forward_rows
-from flagsphere.io import _data_lines
 from flagsphere.randomclique import _link_graph_acyclic
 
 
@@ -167,8 +166,21 @@ def read_complex_reference(path: str | Path) -> SimplicialComplex:
     """Oracle for io.read_complex: the reader as it was when it checked repeated
     ids and tag coverage itself, before build_from_facets took those checks.
     A position must be id + 1, the steps run 1, 2, ... in id order, and a
-    "tags:" header makes the tag dict, empty or not, the complex's tags."""
-    lines = _data_lines(path)
+    "tags:" header makes the tag dict, empty or not, the complex's tags.
+    It tokenises for itself, by io's rules: UTF-8 bytes, stripped lines
+    without blank and '#' ones, and no data line with a non-ASCII, '_' or '+'."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text") from exc
+    lines = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line[:1] in ("", "#"):
+            continue
+        if any(c > "\x7f" or c in "_+" for c in raw):
+            raise ParseError(f"bad characters in line {line!r}")
+        lines.append(line)
     facets: list[frozenset[int]] = []
     tags: dict[int, tuple[int, int] | None] = {}
     steps: list[tuple[int, int]] = []

@@ -77,6 +77,14 @@ def test_verify_cyclic_eight(tmp_path, capsys):
     assert report["euler"] == 0
 
 
+def test_verify_budget_zero_skips_exact_alpha(tmp_path, capsys):
+    out = tmp_path / "c8.txt"
+    run(capsys, "cyclic", "--n", "8", "--out", str(out))
+    code, stdout, _ = run(capsys, "verify", "--in", str(out), "--seed", "1", "--budget", "0")
+    assert code == 0
+    assert '"alpha_exact": null' in stdout
+
+
 def test_verify_corrupted_file_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2 3\n0 1\n")
@@ -314,14 +322,21 @@ def test_parser_defaults_are_the_library_defaults():
     peel = PeelParams()
     for argv in (["verify", "--in", "s", "--seed", "1"], ["color", "--in", "s"]):
         args = parse(argv)
-        assert (args.x, args.strategy, args.cap) == (
-            peel.x, peel.planar_strategy, peel.exact4_cap
-        )
+        assert (args.x, args.cap) == (peel.x, peel.exact4_cap)
     assert parse(["verify", "--in", "s", "--seed", "1"]).budget == NODE_BUDGET
     assert parse(["certify", "--in", "s", "--graph", "g", "--k", "3"]).budget == NODE_BUDGET
     # no default, so an explicit --d beside --config is seen; without --d the
     # command takes RandomCliqueParams.d (test_random_clique_config_and_flags_agree)
     assert parse(["random-clique"]).d is None
+
+
+@pytest.mark.parametrize("command", (["verify", "--seed", "1"], ["color"]))
+def test_strategy_flag_refused_exit_two(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--in", str(tmp_path / "s.txt"), "--strategy", "exact4"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --strategy" in out.err
 
 
 @pytest.mark.parametrize(
@@ -342,6 +357,8 @@ def test_parser_defaults_are_the_library_defaults():
         {"n": "50", "alpha": "0.55", "seed": " 1 "},
         {"n": "1_000", "alpha": 0.55, "seed": 1},
         {"n": 50, "alpha": "0.55", "seed": 1},
+        # a 400-digit integer parses as JSON but overflows float()
+        {"n": 50, "alpha": int("1" * 400), "seed": 1},
     ],
 )
 def test_random_clique_malformed_config_exit_two(tmp_path, capsys, config):
@@ -452,6 +469,47 @@ def test_replay_nonedge_exit_one(tmp_path, capsys):
     )
     assert code == 1
     assert "NotAnEdge" in err
+
+
+@pytest.mark.parametrize(
+    "trace,error",
+    [("subdiv 0 2 -> 99\n", "InvariantViolation"), ("subdiv 3 3 -> 8\n", "NotAnEdge")],
+    ids=["wrong-new-id", "loop-edge"],
+)
+def test_replay_trace_that_does_not_fit_exit_one(tmp_path, capsys, trace, error):
+    base = tmp_path / "c8.txt"
+    run(capsys, "cyclic", "--n", "8", "--out", str(base))
+    bad = tmp_path / "bad.txt"
+    bad.write_text(trace)
+    code, out, err = run(
+        capsys, "replay", "--in", str(base), "--trace", str(bad), "--out", str(tmp_path / "x")
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(error + ":")
+
+
+@pytest.mark.parametrize(
+    "kind,text",
+    [
+        ("graph", ""),
+        ("graph", "2 x\n"),
+        ("graph", "2 1\n0 q\n"),
+        ("trace", "subdiv a 2 -> 8\n"),
+    ],
+    ids=["graph-empty", "graph-bad-header", "graph-bad-edge", "trace-bad-vertex"],
+)
+def test_malformed_graph_or_trace_exit_two(tmp_path, capsys, kind, text):
+    sphere = tmp_path / "c6.txt"
+    run(capsys, "cyclic", "--n", "6", "--out", str(sphere))
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    argv = {
+        "graph": ["certify", "--in", str(sphere), "--graph", str(bad), "--k", "2"],
+        "trace": ["replay", "--in", str(sphere), "--trace", str(bad), "--out", str(bad) + ".out"],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:")
 
 
 @pytest.mark.parametrize("kind", ("complex", "graph", "trace", "config"))

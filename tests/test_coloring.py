@@ -1,4 +1,4 @@
-"""Coloring: dimension constants, planar strategies, peeling, certificates."""
+"""Coloring: dimension constants, planar colorings, peeling, certificates."""
 
 import math
 
@@ -105,6 +105,27 @@ class TestFiveColor:
     def test_k5_rejected_by_the_planarity_oracle(self):
         assert not is_planar(Graph.complete(5))
 
+    def test_kempe_swap_resolves_a_full_palette(self, monkeypatch):
+        """The smallest-last order never leaves a vertex with five colored
+        neighbors in five colors, so force one: on networkx's icosahedron, this
+        removal order gets first-free 5-coloring stuck."""
+        import networkx as nx
+
+        g = Graph(12, list(nx.icosahedral_graph().edges()))
+        order = [9, 1, 10, 6, 7, 3, 5, 0, 8, 4, 2, 11]
+        first_free: dict[int, int] = {}
+        for v in reversed(order):
+            used = {first_free[u] for u in g.neighbors(v) if u in first_free}
+            free = [c for c in range(5) if c not in used]
+            if not free:
+                break
+            first_free[v] = free[0]
+        assert len(first_free) < g.n  # first-free fails, so the swap must run
+        monkeypatch.setattr(coloring, "smallest_last_order", lambda _: [(5, v) for v in order])
+        col = five_color_planar(g)
+        assert is_proper_coloring(g, col)
+        assert col.color_count <= 5
+
     def test_k6_fails_loudly(self):
         with pytest.raises(NotPlanar):
             five_color_planar(Graph.complete(6))
@@ -163,8 +184,6 @@ class TestPeel:
             PeelParams(x=float("inf"))  # an infinite color bound
         with pytest.raises(ValueError):
             PeelParams(exact4_cap=-5)  # would act as a cap of 0
-        with pytest.raises(ValueError):
-            PeelParams(planar_strategy="fourcolor")
 
     def test_sixteen_cell(self):
         X = sixteen_cell()
@@ -204,8 +223,9 @@ class TestPeel:
     def test_strategies_all_proper(self, grotzsch):
         X, _, _ = flagify(grotzsch, 11)
         n = X.vertex_count
-        for strategy, p in (("exact4", 4), ("five", 5), ("greedy", 6)):
-            params = PeelParams(x=2.0, planar_strategy=strategy)
+        # cap 0 skips the exact 4-coloring, so every patch takes the 5-coloring
+        for cap, p in ((64, 4), (0, 5)):
+            params = PeelParams(x=2.0, exact4_cap=cap)
             col, patches = _peel_recording_patches(X, params)
             assert check_proper_on_complex(X, col)
             assert col.color_count <= peel_color_bound(p, 2.0, n)

@@ -4,6 +4,7 @@ import pytest
 
 from flagsphere import (
     Graph,
+    SimplicialComplex,
     cyclic_4_sphere,
     flagify,
     grotzsch_graph,
@@ -11,7 +12,7 @@ from flagsphere import (
     subdivide_edge,
     triangle_free_process,
 )
-from flagsphere.errors import ParseError
+from flagsphere.errors import ParseError, UnknownVertex
 from flagsphere.io import (
     read_complex,
     read_graph,
@@ -30,6 +31,15 @@ def test_complex_roundtrip_with_subdivision_tags(tmp_path):
     path = tmp_path / "c.txt"
     write_complex(X, path)
     assert read_complex(path) == X
+
+
+def test_complex_writer_refuses_a_vertex_without_parent_entry(tmp_path):
+    # the trusting constructor takes a parent map that misses vertices
+    X, _ = subdivide_edge(SimplicialComplex(cyclic_4_sphere(6).facets, {}), (0, 1))
+    path = tmp_path / "c.txt"
+    with pytest.raises(UnknownVertex, match=r"vertices \[0, 1, 2, 3, 4, 5\] have no parent"):
+        write_complex(X, path)
+    assert not path.exists()
 
 
 def test_complex_writer_deterministic(tmp_path):

@@ -19,8 +19,6 @@ from .complexes import (
     verify_closed_3_manifold,
 )
 from .coloring import (
-    AlphaReport,
-    CertificateReport,
     PeelParams,
     certify_lower_bound,
     five_color_planar,
@@ -30,7 +28,6 @@ from .coloring import (
 )
 from .cyclic import cyclic_4_sphere, empty_triangles
 from .flagify import (
-    FlagifyReport,
     FlagifyState,
     audit_state,
     eliminate_round,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .complexes import empty_triangles_of, is_flag, replay, verify_closed_3_manifold
@@ -61,7 +60,7 @@ def cmd_flagify(args) -> int:
     write_complex(complex_, args.out)
     if args.trace:
         write_trace(trace, args.trace)
-    _emit(asdict(report))
+    _emit(report)
     return 0
 
 
@@ -89,7 +88,6 @@ def cmd_verify(args) -> int:
     chromatic_upper: int | None = None
     if flag and checks.passed:
         chromatic_upper = peel_color_unchecked(X, params).color_count
-    alpha = measure_alpha(X, seed=args.seed, node_budget=args.budget)
     _emit(
         {
             "f_vector": checks.f_vector.counts,
@@ -100,9 +98,7 @@ def cmd_verify(args) -> int:
             "subdivision_count": sum(e is not None for e in X.parents.values()),
             "chromatic_upper": chromatic_upper,
             "chromatic_lower": None,
-            "alpha_lower": alpha.greedy_size,
-            "alpha_exact": alpha.exact_size,
-            "conjecture_value": alpha.conjecture_value,
+            **measure_alpha(X, seed=args.seed, node_budget=args.budget),
         }
     )
     return 0
@@ -126,7 +122,7 @@ def cmd_certify(args) -> int:
         report = certify_lower_bound(X, g, args.k, node_budget=args.budget)
     except ValueError as exc:
         raise ParseError(f"bad certify option: {exc}") from exc
-    _emit(report.as_dict())
+    _emit(report)
     return 0
 
 

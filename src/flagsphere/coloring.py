@@ -29,7 +29,6 @@ from .errors import (
 from .graphs import (
     EXACT_ALPHA_LIMIT,
     NODE_BUDGET,
-    ChromaticResult,
     Coloring,
     Graph,
     _Budget,
@@ -190,29 +189,11 @@ def peel_color_unchecked(X: SimplicialComplex, params: PeelParams) -> Coloring:
 # -- chromatic lower-bound certification ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    graph_vertices: int
-    graph_edges: int
-    k: int
-    certified: bool
-    solver_nodes: int
-    witness_type: str
-
-    def as_dict(self) -> dict:
-        return {
-            "graph": {"n": self.graph_vertices, "m": self.graph_edges},
-            "k": self.k,
-            "certified": self.certified,
-            "solver_nodes": self.solver_nodes,
-            "witness_type": self.witness_type,
-        }
-
-
 def certify_lower_bound(
     X: SimplicialComplex, g: Graph, k: int, node_budget: int = NODE_BUDGET
-) -> CertificateReport:
-    """Certify chi(skeleton of X) >= k via an embedded subgraph.
+) -> dict:
+    """Certify chi(skeleton of X) >= k via an embedded subgraph; returns the
+    report the certify command prints.
 
     Every edge of g must be present in X; the exact solver then proves g has
     no (k-1)-coloring by exhausting the search at k-1 colors, and chromatic
@@ -223,36 +204,29 @@ def certify_lower_bound(
     for u, v in g.edges:
         if not X.has_edge(u, v):
             raise SubgraphMissing(f"edge ({u}, {v}) of the graph is not in the complex")
-    result: ChromaticResult = chromatic_number_exact(g, limit=k - 1, node_budget=node_budget)
+    result = chromatic_number_exact(g, limit=k - 1, node_budget=node_budget)
     if not result.exceeded_limit:
         raise CertificationFailed(
             f"graph is {result.chi}-colorable, cannot certify chi >= {k}"
         )
-    return CertificateReport(
-        graph_vertices=g.n,
-        graph_edges=g.edge_count,
-        k=k,
-        certified=True,
-        solver_nodes=result.nodes,
-        witness_type="exceedance",
-    )
+    return {
+        "graph": {"n": g.n, "m": g.edge_count},
+        "k": k,
+        "certified": True,
+        "solver_nodes": result.nodes,
+        "witness_type": "exceedance",
+    }
 
 
 # -- independence measurements ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaReport:
-    greedy_size: int
-    exact_size: int | None
-    conjecture_value: int
-
-
 def measure_alpha(
     X: SimplicialComplex, seed: int, node_budget: int = NODE_BUDGET
-) -> AlphaReport:
+) -> dict:
     """Greedy lower bound on the independence number, exact value when the
-    skeleton is small, and the conjectured ceil((f0+1)/6) reference."""
+    skeleton is small, and the conjectured ceil((f0+1)/6) reference, under
+    the keys the verify command prints."""
     greedy = greedy_independent_set(forward_rows(X.neighbors, X.vertices), seed)
     exact: int | None = None
     if X.vertex_count <= EXACT_ALPHA_LIMIT:
@@ -261,8 +235,8 @@ def measure_alpha(
             exact = len(max_independent_set_exact(g, node_budget=node_budget))
         except SolverTimeout:
             exact = None
-    return AlphaReport(
-        greedy_size=len(greedy),
-        exact_size=exact,
-        conjecture_value=math.ceil((X.vertex_count + 1) / 6),
-    )
+    return {
+        "alpha_lower": len(greedy),
+        "alpha_exact": exact,
+        "conjecture_value": math.ceil((X.vertex_count + 1) / 6),
+    }

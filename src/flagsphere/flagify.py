@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .complexes import ComplexBuilder, SimplicialComplex, empty_triangles_of
 from .cyclic import cyclic_4_sphere, empty_triangles
@@ -82,14 +81,6 @@ class FlagifyState:
         it is None), re-derived from the closed form."""
         adj, target = self.builder.adj, self.target
         return {t for t in empty_triangles(self.n) if target and t >= target and _alive(adj, t)}
-
-
-@dataclass(frozen=True)
-class FlagifyReport:
-    final_vertex_count: int
-    subdivision_count: int
-    round_count: int
-    bound: int
 
 
 def vertex_bound(n: int) -> int:
@@ -240,9 +231,9 @@ def flagify(
     g: Graph,
     n: int,
     audit: bool = False,
-) -> tuple[SimplicialComplex, FlagifyReport, tuple[tuple[int, int, int], ...]]:
+) -> tuple[SimplicialComplex, dict, tuple[tuple[int, int, int], ...]]:
     """Run elimination rounds to completion; returns the flag 3-sphere, the
-    report and the trace of (u, v, w) events.
+    report the flagify command prints and the trace of (u, v, w) events.
 
     With audit=True every round is followed by a full index recomputation;
     a mismatch raises InvariantViolation instead of continuing on a corrupt
@@ -259,14 +250,13 @@ def flagify(
         if audit and not audit_state(state):
             raise InvariantViolation(f"audit failed after round {state.rounds}")
     complex_ = state.builder.freeze()
-    report = FlagifyReport(
-        final_vertex_count=complex_.vertex_count,
-        subdivision_count=state.subdivision_count,
-        round_count=state.rounds,
-        bound=vertex_bound(n),
-    )
-    if report.final_vertex_count > report.bound:
-        raise InvariantViolation(
-            f"vertex count {report.final_vertex_count} exceeds bound {report.bound}"
-        )
+    bound = vertex_bound(n)
+    if complex_.vertex_count > bound:
+        raise InvariantViolation(f"vertex count {complex_.vertex_count} exceeds bound {bound}")
+    report = {
+        "final_vertex_count": complex_.vertex_count,
+        "subdivision_count": state.subdivision_count,
+        "round_count": state.rounds,
+        "bound": bound,
+    }
     return complex_, report, _events(state)

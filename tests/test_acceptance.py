@@ -164,7 +164,7 @@ def test_criterion_3_flagification(corpus):
         checks = verify_closed_3_manifold(X)
         ok &= checks.passed and checks.euler_zero
         ok &= all(X.has_edge(u, v) for u, v in graph.edges)
-        ok &= rep.final_vertex_count <= vertex_bound(n)
+        ok &= rep["final_vertex_count"] <= vertex_bound(n)
     m5_time = timings["M5"]
     ok &= m5_time < 600.0
     assert report(
@@ -180,7 +180,7 @@ def test_criterion_4_chromatic_certification(corpus):
     m5, x_m5 = by_label["M5"]
     cert5 = certify_lower_bound(x_m5, m5, 5)
     cert4 = certify_lower_bound(x_gro, gro, 4)
-    ok = cert5.certified and cert4.certified
+    ok = cert5["certified"] and cert4["certified"]
 
     # cross-checks of the exact solver against brute-force enumeration
     c5 = Graph.cycle(5)
@@ -191,7 +191,7 @@ def test_criterion_4_chromatic_certification(corpus):
     ok &= chromatic_number_exact(minus).chi == brute_chromatic(minus)
     assert report(
         "4 certification", ok,
-        f"M5 chi>=5 ({cert5.solver_nodes} nodes), grotzsch chi>=4",
+        f"M5 chi>=5 ({cert5['solver_nodes']} nodes), grotzsch chi>=4",
     )
 
 

@@ -129,6 +129,9 @@ class TestFiveColor:
     def test_k6_fails_loudly(self):
         with pytest.raises(NotPlanar):
             five_color_planar(Graph.complete(6))
+        # K7 is refused before any coloring, by its minimum degree
+        with pytest.raises(NotPlanar, match="minimum degree 6 exceeds 5"):
+            five_color_planar(Graph.complete(7))
 
 
 class TestGreedyDegeneracy:
@@ -220,6 +223,17 @@ class TestPeel:
         with pytest.raises(PlanarStrategyFailure):
             peel_color_3(X, params)
 
+    def test_exact4_timeout_falls_back_to_five_colors(self, monkeypatch):
+        # every patch of the M5 sphere is 4-colored exactly under the default
+        # budget; a budget of one node times each search out
+        X, _, _ = flagify(_M5, 23)
+        monkeypatch.setattr(coloring, "EXACT4_NODE_BUDGET", 1)
+        col = peel_color_3(X)
+        assert check_proper_on_complex(X, col)
+        assert col.color_count <= peel_color_bound(5, math.sqrt(5), X.vertex_count)
+        with pytest.raises(PlanarStrategyFailure):
+            peel_color_3(X, PeelParams(allow_fallback=False))
+
     def test_strategies_all_proper(self, grotzsch):
         X, _, _ = flagify(grotzsch, 11)
         n = X.vertex_count
@@ -247,13 +261,13 @@ class TestCertify:
     def test_grotzsch_four(self, grotzsch):
         X, _, _ = flagify(grotzsch, 11)
         report = certify_lower_bound(X, grotzsch, 4)
-        assert report.certified and report.witness_type == "exceedance"
+        assert report["certified"] and report["witness_type"] == "exceedance"
         # an independent rerun of the (k-1)-colorability search
-        assert chromatic_number_exact(grotzsch, limit=report.k - 1).exceeded_limit
+        assert chromatic_number_exact(grotzsch, limit=report["k"] - 1).exceeded_limit
 
     def test_trivial_k2(self):
         X, _, _ = flagify(Graph.cycle(5), 6)
-        assert certify_lower_bound(X, Graph.cycle(5), 2).certified
+        assert certify_lower_bound(X, Graph.cycle(5), 2)["certified"]
 
     def test_subgraph_missing(self):
         X = sixteen_cell()
@@ -274,20 +288,20 @@ class TestCertify:
 class TestMeasureAlpha:
     def test_simplex_boundary(self):
         rep = measure_alpha(simplex_boundary(), seed=1)
-        assert rep.exact_size == 1 and rep.greedy_size == 1
-        assert rep.conjecture_value == 1
+        assert rep["alpha_exact"] == 1 and rep["alpha_lower"] == 1
+        assert rep["conjecture_value"] == 1
 
     def test_sixteen_cell(self):
         rep = measure_alpha(sixteen_cell(), seed=3)
-        assert rep.exact_size == 2
-        assert rep.conjecture_value == 2
-        assert rep.exact_size >= rep.greedy_size or rep.greedy_size <= 2
+        assert rep["alpha_exact"] == 2
+        assert rep["conjecture_value"] == 2
+        assert rep["alpha_exact"] >= rep["alpha_lower"] or rep["alpha_lower"] <= 2
 
     def test_exact_skipped_on_large(self, grotzsch):
         X, _, _ = flagify(grotzsch, 11)
         if X.vertex_count > 60:
             rep = measure_alpha(X, seed=1)
-            assert rep.exact_size is None
+            assert rep["alpha_exact"] is None
 
     def test_skeleton_graph_roundtrip(self):
         X = sixteen_cell()
@@ -300,4 +314,4 @@ def test_certified_lower_at_most_peel_upper(grotzsch):
     X, _, _ = flagify(grotzsch, 11)
     upper = peel_color_3(X).color_count
     report = certify_lower_bound(X, grotzsch, 4)
-    assert report.k <= upper
+    assert report["k"] <= upper

@@ -163,9 +163,9 @@ class TestFlagify:
         assert is_flag(X)
         assert verify_closed_3_manifold(X).passed
         assert all(X.has_edge(u, v) for u, v in graph.edges)
-        assert report.final_vertex_count <= vertex_bound(n)
-        assert report.round_count <= math.comb(n, 2)
-        assert report.subdivision_count <= 4 * math.comb(n, 2)
+        assert report["final_vertex_count"] <= vertex_bound(n)
+        assert report["round_count"] <= math.comb(n, 2)
+        assert report["subdivision_count"] <= 4 * math.comb(n, 2)
 
     def test_no_size_three_plus_nonfaces(self):
         X, _, _ = flagify(Graph.cycle(5), 6)
@@ -188,7 +188,7 @@ class TestFlagify:
         X, report, _ = flagify(g, 10, audit=True)
         assert is_flag(X)
         assert all(X.has_edge(u, v) for u, v in g.edges)
-        assert report.final_vertex_count <= vertex_bound(10)
+        assert report["final_vertex_count"] <= vertex_bound(10)
 
     def test_original_adjacency_contains_graph(self):
         g = triangle_free_process(9, 4)
@@ -196,6 +196,16 @@ class TestFlagify:
         for u, v in g.edges:
             assert X.has_edge(u, v)
             assert X.parents[u] is None and X.parents[v] is None
+
+    def test_a_broken_local_law_names_itself_and_the_trail(self, monkeypatch):
+        # a forged link reading gives the first subdivision, 0-2 -> 6 on C5 in
+        # the n=6 sphere, three new empty triangles where the law allows two
+        monkeypatch.setattr(
+            flagify_module, "_cascade_pairs", lambda builder, edge: {(1, 3), (1, 4), (3, 4)}
+        )
+        message = r"^subdividing \[0, 2\] created 3 empty triangles; trail: 0-2->6$"
+        with pytest.raises(InvariantViolation, match=message):
+            flagify(Graph.cycle(5), 6)
 
     def test_path_with_two_protected_edges_in_one_triangle(self):
         # 1-indexed positions 1,3,5 form an empty triangle of the n=6 sphere;

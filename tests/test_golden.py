@@ -1,5 +1,5 @@
-"""Golden hashes: flagify complex and trace bytes, certify and verify reports
-and peel colorings are pinned.
+"""Golden hashes: flagify complex and trace bytes, flagify, certify and verify
+reports and peel colorings are pinned.
 
 The flagify SHA-256 values were computed with the snapshot-per-round
 flagify kernel that preceded the indexed builder, before that kernel
@@ -8,7 +8,9 @@ DSATUR search and the min-scan smallest-last order, before either changed;
 the M7 coloring value with the heap order, before the peel built its patch
 and residual graphs with `Graph.induced`. The `verify` stdout values were
 computed with the frozenset-per-link manifold check and the empty-triangle
-scan on every input, before the one-pass check replaced them.
+scan on every input, before the one-pass check replaced them. The `flagify`
+stdout values were computed while the flagify, certify and alpha reports were
+still dataclasses, before they became the plain dicts the commands print.
 Any change to the selection order, the repair rule, vertex numbering, the
 solver's search order or the file formats shows up here. Never regenerate
 them to make a change pass.
@@ -58,6 +60,23 @@ GOLDEN = {
                       "5fff509f008c2103e27d83c5c848cd855cd26af6d17782d983c1cb7562b21ee8"),
 }
 
+
+# label: sha256 of the `flagify` stdout
+FLAGIFY_REPORT_GOLDEN = {
+    "C5": "bf2b17c0cc4a433d33dd956e39066f5200775a2cff11562378406f9f847f3b04",
+    "grotzsch": "f5abbbdd46822227c713f6a29cd49037b1f24da37cacf41b02b025aa9daeb66a",
+    "M5": "4c7e0ecf005227ca582419982c7679851d1bf5cd95064e783c45f9120fc52315",
+    "process-6-1": "bf2b17c0cc4a433d33dd956e39066f5200775a2cff11562378406f9f847f3b04",
+    "process-8-2": "3b4f93cbb38189823bdc0e11665ac8c736958731964a7ee0aee2f56e27b68392",
+    "process-10-3": "0ae0ac061a8bd5f78782744b84cff4b9506c4980ab27a9b5ddc61963c9f35978",
+    "process-12-4": "152e7b0e85990f63850b27c7b9a4aa88461e94db94f67cab1cb1fbcf7acb6ce4",
+    "process-14-5": "07759e8a785d48a4f859cb448c9196042dc1b34a49f15d76a677fcef0918af38",
+    "process-15-6": "d165a37a5e11992d092ad47a02cdde69c306e4210ca1735e70f6c949a1f9e3f1",
+    "process-16-7": "39216ec0f118f9693ed3e01a98838f0a411f2cb73017fe31863619a01da79e32",
+    "process-17-8": "e3c5c71682b0e85753beb18199bd342a9413b78cd9e246e73b2e65d6c1f0af19",
+    "process-18-9": "55a64c322d22081d2cb1cfda2e2c107f3b65f4c5280812049fbc8a5d7d44546a",
+    "process-20-10": "94b25c503baf2f77ab87c198963e6f013ecabe98de024045ff0e4953c31d3072",
+}
 
 # label: sha256 of the `certify --k chi` stdout, which holds solver_nodes
 CERTIFY_GOLDEN = {
@@ -109,6 +128,19 @@ def test_flagify_bytes_match_the_golden_hashes(label, n, tmp_path):
     # the replayed trace writes the same bytes
     write_complex(replay(cyclic_4_sphere(n), trace), tmp_path / "replay.txt")
     assert (tmp_path / "replay.txt").read_bytes() == (tmp_path / "complex.txt").read_bytes()
+
+
+@pytest.mark.parametrize("label,n", CASES, ids=[label for label, _ in CASES])
+def test_flagify_report_matches_the_golden_hash(label, n, tmp_path):
+    write_graph(_graph(label), tmp_path / "graph.txt")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
+            "flagify", "--graph", str(tmp_path / "graph.txt"), "--n", str(n),
+            "--out", str(tmp_path / "complex.txt"),
+        ])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FLAGIFY_REPORT_GOLDEN[label]
 
 
 @pytest.mark.parametrize("label,n,k", [("grotzsch", 11, 4), ("M5", 23, 5)])

@@ -9,6 +9,8 @@ import io
 import itertools
 import json
 import random
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -410,7 +412,7 @@ def test_flagify_matches_the_snapshot_reference(n, seed):
     X, report, trace = flagify(g, n)
     reference = flagify_reference(g, n)
     assert trace == reference.events
-    assert report.round_count == reference.rounds
+    assert report["round_count"] == reference.rounds
     assert X == reference.complex
 
 
@@ -720,3 +722,26 @@ def test_row_walking_sampler_matches_the_bisection(n, p, seed):
     assert list(sample_gnp_edges(n, p, random.Random(seed))) == sample_gnp_edges_bisect(
         n, p, random.Random(seed)
     )
+
+
+def test_a_failing_property_test_is_reported_not_swallowed(tmp_path):
+    """Under the repo's pytest settings a failing @given test counts as one
+    failure. Reporting it makes hypothesis import libcst, whose
+    DeprecationWarning the "error" filter would otherwise turn into an
+    INTERNALERROR that ends the whole session."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True, max_examples=5)\n"
+        "@given(st.integers(0, 9))\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_fails.py")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    output = done.stdout + done.stderr
+    assert done.returncode == 1, output
+    assert "1 failed" in done.stdout and "INTERNALERROR" not in output

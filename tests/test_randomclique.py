@@ -19,7 +19,7 @@ from flagsphere import (
     run_experiment,
     sample_clique_complex,
 )
-from flagsphere.errors import BadDimension, InvalidAlpha, TooLarge, TooSmall
+from flagsphere.errors import BadDimension, InvalidAlpha, SolverTimeout, TooLarge, TooSmall
 from flagsphere.randomclique import clique_census, independence_bound_report
 
 from conftest import expected_forest_fraction, forest_counts, prune_bad_links_fixpoint, rows_of
@@ -218,6 +218,17 @@ class TestIndependenceReport:
         params = RandomCliqueParams(n=30, alpha=0.55, d=3, seed=1)
         rep = independence_bound_report(rows_of(Graph.complete(30)), params)
         assert rep["exact_alpha"] == 1
+
+    def test_exact_timeout_reports_the_greedy_ratio(self, monkeypatch):
+        def timeout(*args, **kwargs):
+            raise SolverTimeout("node budget exceeded")
+
+        monkeypatch.setattr(randomclique, "max_independent_set_exact", timeout)
+        params = RandomCliqueParams(n=40, alpha=0.55, d=3, seed=1)
+        g, _ = sample_clique_complex(params)
+        rep = independence_bound_report(rows_of(g), params)
+        assert rep["exact_alpha"] is None
+        assert rep["ratio"] == rep["greedy_alpha"] / (40**0.55 * math.log(40))
 
     def test_pinned_n300_regression(self):
         # exact search is out of reach at this size (solver budget blows);

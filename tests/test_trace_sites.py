@@ -110,7 +110,7 @@ def test_flagify_calls_the_traced_builder_primitives(monkeypatch):
 
         monkeypatch.setattr(flagify_module, name, counting)
     _, report, _ = flagify_module.flagify(mycielskian(grotzsch_graph()), 23)
-    assert calls["subdivide_edge"] == report.subdivision_count == 235
+    assert calls["subdivide_edge"] == report["subdivision_count"] == 235
     # one link per subdivision for its new empty triangles, plus one per
     # repair candidate tested
     assert calls["edge_link_structure"] == 334

@@ -83,7 +83,7 @@ def cmd_verify(args) -> int:
     _check_budget(args)
     X = read_complex(args.infile)
     checks = verify_closed_3_manifold(X)
-    flag = is_flag(X)
+    flag = is_flag(X, checks.f_vector)
     empty_tris = 0 if flag else len(empty_triangles_of(X))  # flag: no empty triangle
     chromatic_upper: int | None = None
     if flag and checks.passed:

@@ -148,9 +148,12 @@ def peel_color_3(X: SimplicialComplex, params: PeelParams | None = None) -> Colo
     """
     if params is None:
         params = PeelParams()
-    if not is_flag(X):
+    # one manifold pass gives is_flag its f-vector; a complex that is flag but
+    # not 3-dimensional gets the second call's WrongDimension
+    checks = verify_closed_3_manifold(X) if X.dimension == 3 else None
+    if not is_flag(X, checks and checks.f_vector):
         raise NotFlag("peel coloring requires a flag complex")
-    if not verify_closed_3_manifold(X).passed:
+    if not (checks or verify_closed_3_manifold(X)).passed:
         raise NotManifold("peel coloring requires a closed 3-manifold")
     return peel_color_unchecked(X, params)
 

@@ -14,6 +14,7 @@ no consumer sorts a facet again.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .errors import (
     UnknownVertex,
     WrongDimension,
 )
-from .graphs import cliques, forward_rows
+from .graphs import _clique_walk, cliques, forward_rows
 
 
 @dataclass(frozen=True)
@@ -337,21 +338,24 @@ def empty_triangles_of(X: SimplicialComplex) -> set[tuple[int, int, int]]:
     return set(cliques(forward_rows(X.neighbors, X.vertices), 3)) - _faces(X, 3)
 
 
-def is_flag(X: SimplicialComplex) -> bool:
+def is_flag(X: SimplicialComplex, f_vector: FVector | None = None) -> bool:
     """True iff every clique of the 1-skeleton is a face.
 
     Every face is a clique, so X is flag exactly when it has as many
     k-cliques as k-faces for each 3 <= k <= dim+1 and no (dim+2)-clique.
+    The cliques are counted, not listed. The face counts are `f_vector`, X's
+    f-vector when the caller has it (the manifold pass's), else counted here.
     """
     if X.is_empty:
         return True
     top = X.dimension + 1
     counts = [0] * (top + 1)
-    for clique in cliques(forward_rows(X.neighbors, X.vertices), top + 1):
-        if len(clique) > top:
-            return False
-        counts[len(clique)] += 1
-    return tuple(counts[3:]) == f_vector(X).counts[2:]
+    for clique, cand in _clique_walk(forward_rows(X.neighbors, X.vertices), top + 1):
+        if len(clique) == top:
+            return False  # cand holds the last vertex of a (dim+2)-clique
+        counts[len(clique) + 1] += len(cand)
+    faces = f_vector.counts if f_vector is not None else _face_counts(X)
+    return tuple(counts[3:]) == faces[2:]
 
 
 def subdivide_edge(X: SimplicialComplex, edge) -> tuple[SimplicialComplex, int]:
@@ -372,13 +376,17 @@ def f_vector(X: SimplicialComplex) -> FVector:
     Vertices and edges are counted from the adjacency and the top faces are
     the facets; only the face sizes 3..dim are enumerated from facet subsets.
     """
+    return FVector(counts=_face_counts(X))
+
+
+def _face_counts(X: SimplicialComplex) -> tuple[int, ...]:
     if X.is_empty:
-        return FVector(counts=())
+        return ()
     top = X.dimension + 1
     counts = [X.vertex_count, sum(len(nbrs) for nbrs in X._adj.values()) // 2][: top - 1]
     counts += [len(_faces(X, k)) for k in range(3, top)]
     counts.append(X.facet_count)
-    return FVector(counts=tuple(counts))
+    return tuple(counts)
 
 
 def _connected(vertices, adj) -> bool:
@@ -417,23 +425,26 @@ def verify_closed_3_manifold(X: SimplicialComplex) -> VerificationReport:
     if X.dimension != 3:
         raise WrongDimension(f"expected a pure 3-complex, got dimension {X.dimension}")
     parent = list(range(4 * X.facet_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
-
     first: dict[tuple[int, ...], int] = {}  # ridge -> 4i+s of its first facet; -1 at two
-    for i, (a, b, c, d) in enumerate(X.facets):
-        for code, ridge in enumerate(((b, c, d), (a, c, d), (a, b, d), (a, b, c)), 4 * i):
+    code = 0  # 4i+s: facet i's ridge without slot s
+    for a, b, c, d in X.facets:
+        for ridge in ((b, c, d), (a, c, d), (a, b, d), (a, b, c)):
             other = first.setdefault(ridge, code)
             if 0 <= other != code:
                 first[ridge] = -1
+                base, other_base = code & ~3, other & ~3
                 for x, y in _JOINS[code & 3][other & 3]:
-                    parent[find(4 * i + x)] = find((other & ~3) + y)
+                    x += base
+                    while parent[x] != x:  # find, halving the path
+                        parent[x] = x = parent[parent[x]]
+                    y += other_base
+                    while parent[y] != y:
+                        parent[y] = y = parent[parent[y]]
+                    parent[x] = y
+            code += 1
     # every ridge met a second facet, and the 4F sightings made 2F ridges: none met a third
     two_faces_ok = max(first.values()) < 0 and len(first) == len(parent) // 2
-    classes = sum(x == p for x, p in enumerate(parent))
+    classes = sum(map(operator.eq, parent, range(len(parent))))
     star = Counter(itertools.chain.from_iterable(X.facets))
     euler_2 = all(2 * len(nbrs) - star[v] == 4 for v, nbrs in X._adj.items())
     links_ok = two_faces_ok and classes == X.vertex_count and euler_2

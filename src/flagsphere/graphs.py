@@ -3,8 +3,9 @@
 Provides the embedded-graph side of the pipeline: Mycielski towers with
 certified chromatic number, the seeded triangle-free process for larger
 inputs, exact chromatic / independence solvers (DSATUR and bitset branch and
-bound) with explored-node budgets so runs are reproducible, and `cliques`,
-the one clique walk, which starts at triangles and reads forward rows.
+bound) with explored-node budgets so runs are reproducible, and
+`_clique_walk`, the one clique walk, which starts at triangles and reads
+forward rows; `cliques` lists its cliques.
 `Graph` keeps each edge once, in adjacency sets, and `Graph.induced` is the
 one way to relabel a vertex subset to 0..k-1.
 """
@@ -133,14 +134,17 @@ def forward_rows(neighbors, vertices) -> dict[int, tuple[int, ...]]:
     return {v: tuple(sorted(u for u in neighbors(v) if u > v)) for v in sorted(vertices)}
 
 
-def cliques(rows, max_size: int):
-    """Yield every clique of 3..max_size vertices once, as a sorted tuple.
+def _clique_walk(rows, max_size: int):
+    """Yield (clique, cand) for every clique of 2..max_size-1 vertices that has
+    common larger neighbours, cand being the set of them: the cliques one vertex
+    larger that begin with `clique` are clique + (x,) for x in cand.
 
     `rows` maps each vertex, in increasing order, to its forward row; the
     vertices and edges are the cliques of sizes 1 and 2. A clique's candidates
     are the common larger neighbours of its vertices, so each clique is reached
     once, from its smallest vertex upward (Chiba & Nishizeki, SIAM J. Comput.
     1985). One set per vertex shrinks by intersection with rows; nothing sorts.
+    A caller that only counts adds len(cand) and builds no tuple per clique.
     """
     for v, row in rows.items() if max_size > 2 else ():
         fv = set(row)
@@ -151,13 +155,20 @@ def cliques(rows, max_size: int):
             stack = [((v, w), common)]
             while stack:
                 clique, cand = stack.pop()
-                for x in cand:
-                    grown = clique + (x,)
-                    yield grown
-                    if len(grown) < max_size:
+                yield clique, cand
+                if len(clique) + 1 < max_size:
+                    for x in cand:
                         deeper = cand.intersection(rows[x])
                         if deeper:
-                            stack.append((grown, deeper))
+                            stack.append((clique + (x,), deeper))
+
+
+def cliques(rows, max_size: int):
+    """Yield every clique of 3..max_size vertices once, as a sorted tuple, in
+    the order of :func:`_clique_walk`."""
+    for clique, cand in _clique_walk(rows, max_size):
+        for x in cand:
+            yield clique + (x,)
 
 
 def smallest_last_order(g: Graph) -> list[tuple[int, int]]:

@@ -100,6 +100,20 @@ def sixteen_cell():
     return build_from_facets([set(e1) | set(e2) for e1 in square1 for e2 in square2])
 
 
+def sixteen_cells_glued():
+    """Connected sum of two 16-cells along the facet (0, 1, 4, 5), which both
+    lose; the second copy's other vertices 2, 3, 6, 7 become 8..11.
+
+    A 3-sphere on 12 vertices with f = (12, 42, 60, 30), no empty triangle and
+    no 5-clique; its one minimal non-face above size 2 is the empty
+    tetrahedron (0, 1, 4, 5), so it is flag up to triangles only.
+    """
+    glued = (0, 1, 4, 5)
+    shift = {2: 8, 3: 9, 6: 10, 7: 11}
+    facets = [f for f in sixteen_cell().facets if f != glued]
+    return build_from_facets(facets + [[shift.get(v, v) for v in f] for f in facets])
+
+
 def icosahedron_graph():
     edges = [
         (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),

@@ -4,16 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from flagsphere import Graph, PeelParams, grotzsch_graph
+from flagsphere import Graph, PeelParams, cli, coloring, complexes, grotzsch_graph
 from flagsphere.cli import build_parser, main
 from flagsphere.graphs import NODE_BUDGET
-from flagsphere.io import read_complex, write_graph
+from flagsphere.io import read_complex, write_complex, write_graph
 
-from conftest import BAD_TAG_FILES
+from conftest import BAD_TAG_FILES, sixteen_cells_glued
 
 
 def run(capsys, *argv):
@@ -210,6 +211,48 @@ def test_color_checks_flagness_before_dimension(tmp_path, capsys, facets, error)
     code, _, err = run(capsys, "color", "--in", str(path))
     assert code == 1
     assert err.startswith(error + ":")
+
+
+def test_empty_tetrahedron_sphere_is_a_manifold_but_not_flag(tmp_path, capsys):
+    path = tmp_path / "glued.txt"
+    write_complex(sixteen_cells_glued(), path)
+    code, stdout, _ = run(capsys, "verify", "--in", str(path), "--seed", "1")
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["manifold_checks"]["passed"] and not report["is_flag"]
+    assert report["empty_triangle_count"] == 0 and report["chromatic_upper"] is None
+    code, stdout, err = run(capsys, "color", "--in", str(path))
+    assert code == 1 and stdout == ""
+    assert err.startswith("NotFlag:")
+
+
+def test_verify_and_color_check_a_flag_sphere_once(tmp_path, capsys, monkeypatch):
+    """Each command runs one manifold pass, whose f-vector is_flag reads, and
+    builds no set of faces."""
+    gfile, sphere = tmp_path / "g.txt", tmp_path / "sphere.txt"
+    write_graph(grotzsch_graph(), gfile)
+    run(capsys, "flagify", "--graph", str(gfile), "--n", "11", "--out", str(sphere))
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(complexes, "_faces")
+    count(complexes, "f_vector")
+    count(cli, "verify_closed_3_manifold")
+    count(coloring, "verify_closed_3_manifold")
+    for argv in (("verify", "--in", str(sphere), "--seed", "1"), ("color", "--in", str(sphere))):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {"verify_closed_3_manifold": 1}
+
 
 def test_certify_command(tmp_path, capsys):
     g = grotzsch_graph()

@@ -297,11 +297,11 @@ class TestMeasureAlpha:
         assert rep["conjecture_value"] == 2
         assert rep["alpha_exact"] >= rep["alpha_lower"] or rep["alpha_lower"] <= 2
 
-    def test_exact_skipped_on_large(self, grotzsch):
-        X, _, _ = flagify(grotzsch, 11)
-        if X.vertex_count > 60:
-            rep = measure_alpha(X, seed=1)
-            assert rep["alpha_exact"] is None
+    def test_exact_skipped_on_large(self):
+        # the cyclic sphere's 1-skeleton is complete: alpha is 1 up to the limit
+        assert coloring.EXACT_ALPHA_LIMIT == 60
+        assert measure_alpha(cyclic_4_sphere(60), seed=1)["alpha_exact"] == 1
+        assert measure_alpha(cyclic_4_sphere(61), seed=1)["alpha_exact"] is None
 
     def test_skeleton_graph_roundtrip(self):
         X = sixteen_cell()

@@ -90,6 +90,7 @@ from conftest import (
     sample_gnp_edges_bisect,
     simplex_boundary,
     sixteen_cell,
+    sixteen_cells_glued,
     smallest_last_order_reference,
     subdivide_edge_scan,
     triangle_boundary,
@@ -269,6 +270,42 @@ def nearly_spheres(draw):
 @example(SUSPENDED_THREE_DISCS)
 def test_manifold_report_matches_the_reference(X):
     assert verify_closed_3_manifold(X) == verify_closed_3_manifold_reference(X)
+
+
+@st.composite
+def pure_3_complexes(draw):
+    """A pure 3-complex that may fail the manifold checks: a nearly-sphere, a
+    cyclic sphere, a flagify run stopped after a few rounds, or up to 12
+    random tetrahedra on 7 vertices."""
+    kind = draw(st.sampled_from(("nearly", "cyclic", "mid-flagify", "random")))
+    if kind == "nearly":
+        return draw(nearly_spheres())
+    if kind == "cyclic":
+        return cyclic_4_sphere(draw(st.integers(6, 10)))
+    if kind == "mid-flagify":
+        n = draw(st.integers(6, 8))
+        state = embed(triangle_free_process(n, draw(st.integers(0, 10**6))), n)
+        for _ in range(draw(st.integers(0, 4))):
+            if state.all_original:
+                eliminate_round(state)
+        return state.builder.freeze()
+    pool = list(itertools.combinations(range(7), 4))
+    facets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    return build_from_facets(facets)
+
+
+@fixed
+@given(pure_3_complexes())
+@example(SUSPENDED_SPHERE_AND_TORUS)
+@example(PINCHED_SUSPENSION)
+@example(SUSPENDED_TORUS)
+@example(SUSPENDED_THREE_DISCS)
+@example(sixteen_cells_glued())
+def test_manifold_pass_f_vector_is_exact_and_is_flag_may_trust_it(X):
+    fv = verify_closed_3_manifold(X).f_vector
+    assert fv == f_vector(X)
+    flag = all(len(f) == 2 for f in minimal_nonfaces_bruteforce(X, 5))
+    assert is_flag(X, fv) == is_flag(X) == flag
 
 
 def test_suspended_sphere_and_torus_fails_only_the_link_check():

@@ -292,18 +292,23 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
     reduced) search space. New color indices are introduced in order, so
     permutations of the palette are explored once. Bit i of every mask is
     the i-th vertex by (-degree, id); has[c] holds the vertices with a
-    neighbor colored c and bucket[s] the uncolored ones with s distinct
-    neighbor colors, so the lowest bit of the top non-empty bucket is the
-    DSATUR choice (Brelaz, Commun. ACM 1979).
+    neighbor colored c. The saturation of each vertex, its number of
+    distinct neighbor colors, is kept in binary across k.bit_length() bit
+    planes: bit i of planes[j] is bit j of vertex i's count. Descending the
+    planes under `uncolored` leaves the vertices of highest saturation, and
+    the lowest of them is the DSATUR choice (Brelaz, Commun. ACM 1979).
 
-    The search is one loop over per-depth lists (the vertex index, its
-    bucket, the colors in use before it, its color and the neighbors that
-    color touched), so its depth has no recursion limit. Backing out of a
-    color undoes has[c] by XOR with the touched mask and restores the
-    bucket list saved before the shift; the list is saved only when some
-    neighbor was touched, as otherwise no bucket moved. Nodes are counted
-    locally and written back to `budget.used` on every exit, so counts add
-    up across calls and a timeout leaves `used == cap + 1`.
+    The search is one loop over a stack of frames, one per colored vertex:
+    its index, the colors in use before it, its open colors not yet tried,
+    the neighbors its color touched, the planes before that touch and its
+    color. A vertex has `top - s` open colors, top = min(num_used + 1, k)
+    being the palette it may use and s its saturation, so a node with
+    none, or a frame whose colors are all tried, backs out without scanning
+    the palette. Coloring a vertex adds the touched mask to the planes by
+    ripple carry into a copy; backing out restores has[c] by XOR and the
+    saved planes. Nodes are counted locally and written back to
+    `budget.used` on every exit, so counts add up across calls and a
+    timeout leaves `used == cap + 1`.
     """
     n = g.n
     if n == 0:
@@ -314,12 +319,13 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
     rank = {v: i for i, v in enumerate(order)}
     nbr = [sum(1 << rank[u] for u in g.neighbors(v)) for v in order]
     has = [0] * k
-    bucket = [0] * (k + 1)
-    bucket[0] = uncolored = (1 << n) - 1
-    verts, sats, bases, colors, touches = ([0] * n for _ in range(5))
-    saved = [None] * n
+    planes = [0] * k.bit_length()
+    high = tuple((j, 1 << j) for j in reversed(range(len(planes))))
+    uncolored = (1 << n) - 1
+    frames: list[tuple] = []
+    push, pop = frames.append, frames.pop
     nodes, cap = budget.used, budget.cap
-    d = num_used = 0
+    num_used = 0
     while True:
         nodes += 1
         if nodes > cap:
@@ -327,53 +333,52 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
             raise SolverTimeout(f"node budget {cap} exceeded")
         if not uncolored:
             budget.used = nodes
-            found = dict(zip(verts, colors))
+            found = {frame[0]: frame[-1] for frame in frames}
             return [found[rank[v]] for v in range(n)]
-        s = num_used
-        while not bucket[s]:
-            s -= 1
-        bit = bucket[s] & -bucket[s]
-        i = bit.bit_length() - 1
-        bucket[s] ^= bit
-        uncolored ^= bit
-        verts[d], sats[d], bases[d] = i, s, num_used
-        c = 0
-        while True:
-            top = num_used + 1 if num_used < k else k
-            while c < top and has[c] & bit:
-                c += 1
-            if c < top:
-                break
-            # no color left at depth d: put its vertex back and undo the parent's color
-            bucket[s] |= bit
-            uncolored |= bit
-            d -= 1
-            if d < 0:
-                budget.used = nodes
-                return None
-            i, s, num_used, c = verts[d], sats[d], bases[d], colors[d]
+        pick = uncolored
+        s = 0
+        for j, weight in high:
+            x = pick & planes[j]
+            if x:
+                pick = x
+                s += weight
+        bit = pick & -pick
+        left = (num_used + 1 if num_used < k else k) - s
+        if left:
+            i = bit.bit_length() - 1
+            uncolored ^= bit
+            c = 0
+        else:
+            # no open color: undo frames until one has a color left to try
+            while True:
+                if not frames:
+                    budget.used = nodes
+                    return None
+                i, num_used, left, touched, planes, c = pop()
+                if touched:
+                    has[c] ^= touched
+                if left:
+                    break
+                uncolored |= 1 << i
             bit = 1 << i
-            if touches[d]:
-                has[c] ^= touches[d]
-                bucket = saved[d]
             c += 1
-        colors[d] = c
+        while has[c] & bit:
+            c += 1
+        touched = nbr[i] & uncolored & ~has[c]
+        push((i, num_used, left - 1, touched, planes, c))
         if c == num_used:
             num_used += 1
-        touched = touches[d] = nbr[i] & uncolored & ~has[c]
         if touched:
             has[c] |= touched
-            saved[d] = bucket
-            bucket = bucket[:]
-            # touched vertices lack c, so their saturation is below num_used
-            s = num_used - 1
+            # touched vertices lack c, so no count passes k and the carry
+            # stays inside the planes
+            planes = planes[:]
+            j = 0
             while touched:
-                moving = touched & bucket[s]
-                bucket[s] ^= moving
-                bucket[s + 1] |= moving
-                touched ^= moving
-                s -= 1
-        d += 1
+                x = planes[j]
+                planes[j] = x ^ touched
+                touched &= x
+                j += 1
 
 
 def chromatic_number_exact(

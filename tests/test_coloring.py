@@ -223,6 +223,17 @@ class TestPeel:
         with pytest.raises(PlanarStrategyFailure):
             peel_color_3(X, params)
 
+    def test_vertex_at_the_threshold_is_not_peeled(self, grotzsch):
+        # x·√n equals the largest degree in floats: that vertex stays in the
+        # residual, and a threshold one float lower peels it
+        X, _, _ = flagify(grotzsch, 11)
+        n = X.vertex_count
+        top = max(len(X.neighbors(v)) for v in X.vertices)
+        x = top / math.sqrt(n)
+        assert x * math.sqrt(n) == top
+        assert _peel_recording_patches(X, PeelParams(x=x))[1] == []
+        assert _peel_recording_patches(X, PeelParams(x=math.nextafter(x, 0)))[1]
+
     def test_exact4_timeout_falls_back_to_five_colors(self, monkeypatch):
         # every patch of the M5 sphere is 4-colored exactly under the default
         # budget; a budget of one node times each search out

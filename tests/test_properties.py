@@ -31,6 +31,7 @@ from flagsphere import (
     flagify,
     is_flag,
     minimal_nonfaces,
+    mycielskian,
     subdivide_edge,
     triangle_free_process,
 )
@@ -658,6 +659,45 @@ def test_bitset_dsatur_matches_the_set_based_search_on_deep_trees(name, k, reque
     # 27, 12, 896 and 24 nodes: deeper backtracking than the property graphs
     g = request.getfixturevalue(name)
     assert _search(_k_colorable, g, k, 10**7) == _search(k_colorable_reference, g, k, 10**7)
+
+
+@pytest.mark.parametrize("name,k,stride", [("grotzsch", 3, 1), ("grotzsch", 4, 1), ("m5", 4, 3)])
+def test_bitset_dsatur_times_out_at_the_same_node_in_deep_trees(name, k, stride, request):
+    # caps across the whole search, so some timeouts land inside deep
+    # backtracks, where exhausted frames back out without a palette scan
+    g = request.getfixturevalue(name)
+    full = _search(k_colorable_reference, g, k, 10**7)
+    for cap in range(0, full[1] + 1, stride):
+        found, used = _search(_k_colorable, g, k, cap)
+        assert (found, used) == _search(k_colorable_reference, g, k, cap)
+        assert (found, used) == (full if cap == full[1] else ("timeout", cap + 1))
+
+
+def test_bitset_dsatur_times_out_deep_in_the_m6_search(m5):
+    budget = _Budget(200_000)
+    with pytest.raises(SolverTimeout):
+        _k_colorable(mycielskian(m5), 5, budget)
+    assert budget.used == 200_001
+
+
+@st.composite
+def dense_graphs(draw):
+    """A graph on 8 to 14 vertices that misses at most n of its edges."""
+    n = draw(st.integers(8, 14))
+    pairs = list(itertools.combinations(range(n), 2))
+    missing = draw(st.sets(st.sampled_from(pairs), max_size=n))
+    return Graph(n, [pair for pair in pairs if pair not in missing])
+
+
+@fixed
+@given(dense_graphs(), st.integers(0, 300))
+@example(Graph.complete(8), 6)
+@example(Graph.complete(9), 6)
+def test_bitset_dsatur_matches_the_set_based_search_on_wide_palettes(g, cap):
+    # k = 8 and 9 keep saturations in a fourth bit plane
+    for k in range(7, 10):
+        assert _search(_k_colorable, g, k, 10**5) == _search(k_colorable_reference, g, k, 10**5)
+        assert _search(_k_colorable, g, k, cap) == _search(k_colorable_reference, g, k, cap)
 
 
 def _levels(g, limit, cap):

@@ -34,7 +34,6 @@ from .graphs import (
     _Budget,
     _k_colorable,
     chromatic_number_exact,
-    forward_rows,
     greedy_independent_set,
     max_independent_set_exact,
     smallest_last_order,
@@ -230,7 +229,7 @@ def measure_alpha(
     """Greedy lower bound on the independence number, exact value when the
     skeleton is small, and the conjectured ceil((f0+1)/6) reference, under
     the keys the verify command prints."""
-    greedy = greedy_independent_set(forward_rows(X.neighbors, X.vertices), seed)
+    greedy = greedy_independent_set(X.rows, seed)
     exact: int | None = None
     if X.vertex_count <= EXACT_ALPHA_LIMIT:
         g, _ = Graph.induced(X.neighbors, X.vertices)

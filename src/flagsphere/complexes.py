@@ -82,7 +82,7 @@ class SimplicialComplex:
     u < v, whose subdivision made it.
     """
 
-    __slots__ = ("facets", "parents", "_adj", "_vertices")
+    __slots__ = ("facets", "parents", "_adj", "_vertices", "_rows")
 
     def __init__(
         self,
@@ -96,12 +96,20 @@ class SimplicialComplex:
             adjacency = _derive_adjacency(facets)
         self._adj = adjacency
         self._vertices = tuple(sorted(self._adj))
+        self._rows = None
 
     # -- basic queries --------------------------------------------------------
 
     @property
     def vertices(self) -> tuple[int, ...]:
         return self._vertices
+
+    @property
+    def rows(self) -> dict[int, tuple[int, ...]]:
+        """The 1-skeleton's forward rows (graphs.forward_rows), built once."""
+        if self._rows is None:
+            self._rows = forward_rows(self.neighbors, self._vertices)
+        return self._rows
 
     @property
     def vertex_count(self) -> int:
@@ -322,7 +330,7 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[tuple[int, ...]
             if v not in adj[u]:
                 result.add((u, v))
     faces = {k: _faces(X, k) for k in range(2, min(max_size, X.dimension + 1) + 1)}
-    for clique in cliques(forward_rows(X.neighbors, verts), max_size):
+    for clique in cliques(X.rows, max_size):
         k = len(clique)
         if clique in faces.get(k, ()):
             continue
@@ -335,7 +343,7 @@ def minimal_nonfaces(X: SimplicialComplex, max_size: int) -> set[tuple[int, ...]
 def empty_triangles_of(X: SimplicialComplex) -> set[tuple[int, int, int]]:
     """The size-3 minimal non-faces as sorted tuples: 3-cliques of the
     1-skeleton that are not 2-faces."""
-    return set(cliques(forward_rows(X.neighbors, X.vertices), 3)) - _faces(X, 3)
+    return set(cliques(X.rows, 3)) - _faces(X, 3)
 
 
 def is_flag(X: SimplicialComplex, f_vector: FVector | None = None) -> bool:
@@ -350,7 +358,7 @@ def is_flag(X: SimplicialComplex, f_vector: FVector | None = None) -> bool:
         return True
     top = X.dimension + 1
     counts = [0] * (top + 1)
-    for clique, cand in _clique_walk(forward_rows(X.neighbors, X.vertices), top + 1):
+    for clique, cand in _clique_walk(X.rows, top + 1):
         if len(clique) == top:
             return False  # cand holds the last vertex of a (dim+2)-clique
         counts[len(clique) + 1] += len(cand)

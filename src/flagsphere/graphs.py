@@ -293,10 +293,10 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
     permutations of the palette are explored once. Bit i of every mask is
     the i-th vertex by (-degree, id); has[c] holds the vertices with a
     neighbor colored c. The saturation of each vertex, its number of
-    distinct neighbor colors, is kept in binary across k.bit_length() bit
-    planes: bit i of planes[j] is bit j of vertex i's count. Descending the
-    planes under `uncolored` leaves the vertices of highest saturation, and
-    the lowest of them is the DSATUR choice (Brelaz, Commun. ACM 1979).
+    distinct neighbor colors, is kept in binary: bit i of p0, p1, p2 and
+    up[j] is bit 0, 1, 2 and 3 + j of vertex i's count (`up` is empty while
+    k < 8). Descending these planes under `uncolored` leaves the vertices of
+    highest saturation, and the lowest is the DSATUR choice (Brelaz 1979).
 
     The search is one loop over a stack of frames, one per colored vertex:
     its index, the colors in use before it, its open colors not yet tried,
@@ -305,10 +305,10 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
     being the palette it may use and s its saturation, so a node with
     none, or a frame whose colors are all tried, backs out without scanning
     the palette. Coloring a vertex adds the touched mask to the planes by
-    ripple carry into a copy; backing out restores has[c] by XOR and the
-    saved planes. Nodes are counted locally and written back to
-    `budget.used` on every exit, so counts add up across calls and a
-    timeout leaves `used == cap + 1`.
+    ripple carry, copying the shared `up` only when a carry passes p2;
+    backing out restores has[c] by XOR and the saved planes. Nodes are
+    counted locally and written back to `budget.used` on every exit, so
+    counts add up across calls and a timeout leaves `used == cap + 1`.
     """
     n = g.n
     if n == 0:
@@ -319,8 +319,8 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
     rank = {v: i for i, v in enumerate(order)}
     nbr = [sum(1 << rank[u] for u in g.neighbors(v)) for v in order]
     has = [0] * k
-    planes = [0] * k.bit_length()
-    high = tuple((j, 1 << j) for j in reversed(range(len(planes))))
+    p0 = p1 = p2 = 0
+    up = [0] * (k.bit_length() - 3)
     uncolored = (1 << n) - 1
     frames: list[tuple] = []
     push, pop = frames.append, frames.pop
@@ -337,11 +337,16 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
             return [found[rank[v]] for v in range(n)]
         pick = uncolored
         s = 0
-        for j, weight in high:
-            x = pick & planes[j]
-            if x:
-                pick = x
-                s += weight
+        if up:
+            for j in range(len(up) - 1, -1, -1):
+                if x := pick & up[j]:
+                    pick, s = x, s + (8 << j)
+        if x := pick & p2:
+            pick, s = x, s + 4
+        if x := pick & p1:
+            pick, s = x, s + 2
+        if x := pick & p0:
+            pick, s = x, s + 1
         bit = pick & -pick
         left = (num_used + 1 if num_used < k else k) - s
         if left:
@@ -354,7 +359,7 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
                 if not frames:
                     budget.used = nodes
                     return None
-                i, num_used, left, touched, planes, c = pop()
+                i, num_used, left, touched, p0, p1, p2, up, c = pop()
                 if touched:
                     has[c] ^= touched
                 if left:
@@ -365,20 +370,20 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
         while has[c] & bit:
             c += 1
         touched = nbr[i] & uncolored & ~has[c]
-        push((i, num_used, left - 1, touched, planes, c))
+        push((i, num_used, left - 1, touched, p0, p1, p2, up, c))
         if c == num_used:
             num_used += 1
         if touched:
             has[c] |= touched
             # touched vertices lack c, so no count passes k and the carry
             # stays inside the planes
-            planes = planes[:]
-            j = 0
-            while touched:
-                x = planes[j]
-                planes[j] = x ^ touched
-                touched &= x
-                j += 1
+            p0, touched = p0 ^ touched, p0 & touched
+            p1, touched = p1 ^ touched, p1 & touched
+            p2, touched = p2 ^ touched, p2 & touched
+            if touched:
+                up = up[:]
+                for j, x in enumerate(up):
+                    up[j], touched = x ^ touched, x & touched
 
 
 def chromatic_number_exact(

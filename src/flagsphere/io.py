@@ -44,9 +44,9 @@ def write_complex(X: SimplicialComplex, path: str | Path) -> None:
     missing = [v for v in X.vertices if v not in X.parents]
     if missing:
         raise UnknownVertex(f"vertices {missing} have no parent entry")
+    template = " ".join(["%d"] * (X.dimension + 1))
     lines = ["# flagsphere complex: one facet per line"]
-    for facet in sorted(X.facets):
-        lines.append(" ".join(str(v) for v in facet))
+    lines += [template % facet for facet in sorted(X.facets)]
     lines.append("tags:")
     step = 0
     for v in X.vertices:

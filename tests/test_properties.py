@@ -694,9 +694,47 @@ def dense_graphs(draw):
 @example(Graph.complete(8), 6)
 @example(Graph.complete(9), 6)
 def test_bitset_dsatur_matches_the_set_based_search_on_wide_palettes(g, cap):
-    # k = 8 and 9 keep saturations in a fourth bit plane
+    # k = 8 and 9 keep saturations in a fourth bit plane, up[0]
     for k in range(7, 10):
         assert _search(_k_colorable, g, k, 10**5) == _search(k_colorable_reference, g, k, 10**5)
+        assert _search(_k_colorable, g, k, cap) == _search(k_colorable_reference, g, k, cap)
+
+
+@st.composite
+def near_complete_graphs(draw):
+    """A graph on 17 to 20 vertices that misses at most 3 of its edges."""
+    n = draw(st.integers(17, 20))
+    pairs = list(itertools.combinations(range(n), 2))
+    missing = draw(st.sets(st.sampled_from(pairs), max_size=3))
+    return Graph(n, [pair for pair in pairs if pair not in missing])
+
+
+@settings(fixed, max_examples=10)
+@given(near_complete_graphs())
+@example(Graph.complete(17))
+@example(Graph.complete(18))
+def test_bitset_dsatur_matches_the_set_based_search_on_upper_planes(g):
+    # at k = 16-18 a count carries from 15 to 16: through p0, p1, p2 and
+    # up[0] into up[1]; every cap puts timeouts on both sides of the carry
+    for k in range(16, 19):
+        full = _search(k_colorable_reference, g, k, 10**5)
+        assert _search(_k_colorable, g, k, 10**5) == full
+        for cap in range(full[1]):
+            assert _search(_k_colorable, g, k, cap) == _search(k_colorable_reference, g, k, cap)
+
+
+@pytest.mark.parametrize(
+    "name,j,k,stride", [("grotzsch", 5, 8, 1), ("grotzsch", 6, 9, 1), ("m5", 4, 8, 60)]
+)
+def test_bitset_dsatur_backtracks_over_upper_plane_carries(name, j, k, stride, request):
+    # H joined with K_j needs chi(H) + j colors and is refuted at k, one
+    # below: the clique's colors push counts to 8 and more, into `up`, and
+    # H's own backtracking undoes those carries
+    h = request.getfixturevalue(name)
+    g = Graph(h.n + j, [*h.edges, *((u, v) for u in range(h.n, h.n + j) for v in range(u))])
+    full = _search(k_colorable_reference, g, k, 10**5)
+    assert full[0] is None and _search(_k_colorable, g, k, 10**5) == full
+    for cap in range(0, full[1], stride):
         assert _search(_k_colorable, g, k, cap) == _search(k_colorable_reference, g, k, cap)
 
 

@@ -58,8 +58,29 @@ MUTANTS = [
     Mutant(
         "dsatur-pick-skips-p0",
         GRAPHS,
-        "        if x := pick & p0:\n            pick, s = x, s + 1\n",
+        "            if x := pick & p0:\n                pick, s = x, s + 1\n",
         "",
+    ),
+    Mutant(
+        "split-top-nodes-dropped",
+        GRAPHS,
+        "frontier, top = deeper, top + expanded",
+        "frontier, top = deeper, top",
+    ),
+    Mutant(
+        "split-overflow-as-exhausted",
+        GRAPHS,
+        "if colored is not None or before + roots > cap:",
+        "if colored is not None:",
+    ),
+    Mutant(
+        "split-first-coloring-to-finish",
+        GRAPHS,
+        "        mine = list(_share(nbr, k, frontier[::workers], cap))\n",
+        "        mine = list(_share(nbr, k, frontier[::workers], cap))\n"
+        "        for (before, _), (nodes, colored) in zip(frontier[::workers], mine):\n"
+        "            if colored is not None:\n"
+        "                return before + nodes, colored\n",
     ),
 ]
 

@@ -8,6 +8,7 @@ print machine-readable JSON reports to stdout. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -259,9 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on its first call and reused, as parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

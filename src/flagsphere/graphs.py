@@ -3,7 +3,8 @@
 Provides the embedded-graph side of the pipeline: Mycielski towers with
 certified chromatic number, the seeded triangle-free process for larger
 inputs, exact chromatic / independence solvers (DSATUR and bitset branch and
-bound) with explored-node budgets so runs are reproducible, and
+bound) with explored-node budgets so runs are reproducible (DSATUR splits
+a large level across the process's CPUs and counts the same nodes), and
 `_clique_walk`, the one clique walk, which starts at triangles and reads
 forward rows; `cliques` lists its cliques.
 `Graph` keeps each edge once, in adjacency sets, and `Graph.induced` is the
@@ -12,9 +13,14 @@ one way to relabel a vertex subset to 0..k-1.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
+import marshal
+import os
 import random
+import signal
+import threading
 from dataclasses import dataclass
 
 from .errors import SolverTimeout, TooLarge
@@ -25,6 +31,11 @@ EXACT_ALPHA_LIMIT = 60
 NODE_BUDGET = 20_000_000
 # most vertices a Graph takes, refused before its adjacency sets are built
 MAX_VERTICES = 10**6
+# nodes a level searches in one process before it restarts split across the CPUs
+SPLIT_AFTER = 20_000
+# the split search's top walk goes down to the first depth with this many
+# roots, and at most this many levels
+SPLIT_ROOTS = 64
 
 
 class Graph:
@@ -289,26 +300,15 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
     """Complete DSATUR backtracking search for a proper k-coloring.
 
     Returns an assignment list or None after exhausting the (symmetry
-    reduced) search space. New color indices are introduced in order, so
-    permutations of the palette are explored once. Bit i of every mask is
-    the i-th vertex by (-degree, id); has[c] holds the vertices with a
-    neighbor colored c. The saturation of each vertex, its number of
-    distinct neighbor colors, is kept in binary: bit i of p0, p1, p2 and
-    up[j] is bit 0, 1, 2 and 3 + j of vertex i's count (`up` is empty while
-    k < 8). Descending these planes under `uncolored` leaves the vertices of
-    highest saturation, and the lowest is the DSATUR choice (Brelaz 1979).
+    reduced) search space; the search is `_dfs` from the state with no
+    vertex colored. Nodes are counted on `budget`, so counts add up across
+    calls, and a timeout leaves `used == cap + 1` (`used + 1` when the cap
+    was already passed on entry).
 
-    The search is one loop over a stack of frames, one per colored vertex:
-    its index, the colors in use before it, its open colors not yet tried,
-    the neighbors its color touched, the planes before that touch and its
-    color. A vertex has `top - s` open colors, top = min(num_used + 1, k)
-    being the palette it may use and s its saturation, so a node with
-    none, or a frame whose colors are all tried, backs out without scanning
-    the palette. Coloring a vertex adds the touched mask to the planes by
-    ripple carry, copying the shared `up` only when a carry passes p2;
-    backing out restores has[c] by XOR and the saved planes. Nodes are
-    counted locally and written back to `budget.used` on every exit, so
-    counts add up across calls and a timeout leaves `used == cap + 1`.
+    With more than one CPU to run on, a level that passes SPLIT_AFTER nodes
+    restarts as `_split`, which searches the same tree across the CPUs and
+    counts the same nodes; with one CPU, or with other threads running, the
+    search never forks.
     """
     n = g.n
     if n == 0:
@@ -318,37 +318,94 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     rank = {v: i for i, v in enumerate(order)}
     nbr = [sum(1 << rank[u] for u in g.neighbors(v)) for v in order]
-    has = [0] * k
-    p0 = p1 = p2 = 0
-    up = [0] * (k.bit_length() - 3)
-    uncolored = (1 << n) - 1
+    root = ([0] * k, 0, 0, 0, [0] * (k.bit_length() - 3), (1 << n) - 1, 0, [])
+    cap = budget.cap - budget.used
+    if cap > SPLIT_AFTER and (workers := _cpus()) > 1:
+        nodes, colored = _dfs(nbr, k, root, SPLIT_AFTER)
+        if nodes > SPLIT_AFTER:
+            nodes, colored = _split(nbr, k, root, cap, workers)
+    else:
+        nodes, colored = _dfs(nbr, k, root, cap)
+    budget.used += nodes
+    if nodes > cap:
+        raise SolverTimeout(f"node budget {budget.cap} exceeded")
+    if colored is None:
+        return None
+    found = dict(colored)
+    return [found[rank[v]] for v in range(n)]
+
+
+def _cpus() -> int:
+    """The number of processes a search may use: the CPUs this process may
+    run on, or 1 while other threads run, since a fork copies only the
+    calling thread."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _dfs(nbr: list[int], k: int, root: tuple, cap: int, frontier: list | None = None):
+    """DSATUR from the state `root` to the end of its subtree, for at most `cap` nodes.
+
+    Returns (nodes, colored): `colored` lists the (vertex index, color)
+    pairs of the first coloring found, from the root's own path on, and is
+    None when the subtree is exhausted or the cap was passed, which leaves
+    nodes == cap + 1. Index i is the i-th vertex by (-degree, id) and bit i
+    of every mask; nbr[i] is its neighbor mask. A state is (has, p0, p1, p2,
+    up, uncolored, num_used, path): has[c] holds the vertices with a
+    neighbor colored c; the saturation of each vertex, its number of
+    distinct neighbor colors, is kept in binary: bit i of p0, p1, p2 and
+    up[j] is bit 0, 1, 2 and 3 + j of vertex i's count (`up` is empty while
+    k < 8); num_used colors are in use and `path` lists the (index, color)
+    pairs that lead to the state. Descending the planes under `uncolored`
+    leaves the vertices of highest saturation, and the lowest is the DSATUR
+    choice (Brelaz 1979). New color indices are introduced in order, so
+    permutations of the palette are explored once.
+
+    The search is one loop over a stack of frames, one per colored vertex:
+    its index, the colors in use before it, its open colors not yet tried,
+    the neighbors its color touched, the planes before that touch and its
+    color. A vertex has `top - s` open colors, top = min(num_used + 1, k)
+    being the palette it may use and s its saturation, so a node with
+    none, or a frame whose colors are all tried, backs out without scanning
+    the palette. Coloring a vertex adds the touched mask to the planes by
+    ripple carry, copying the shared `up` only when a carry passes p2;
+    backing out restores has[c] by XOR and the saved planes.
+
+    With `frontier` given, each node past the cap is appended there as a
+    state instead of being searched, and the search backs out of it: with
+    cap 1 the call lists the root's children in DFS order.
+    """
+    has, p0, p1, p2, up, uncolored, num_used, path = root
+    has = has[:]
     frames: list[tuple] = []
     push, pop = frames.append, frames.pop
-    nodes, cap = budget.used, budget.cap
-    num_used = 0
+    nodes = 0
     while True:
         nodes += 1
         if nodes > cap:
-            budget.used = nodes
-            raise SolverTimeout(f"node budget {cap} exceeded")
-        if not uncolored:
-            budget.used = nodes
-            found = {frame[0]: frame[-1] for frame in frames}
-            return [found[rank[v]] for v in range(n)]
-        pick = uncolored
-        s = 0
-        if up:
-            for j in range(len(up) - 1, -1, -1):
-                if x := pick & up[j]:
-                    pick, s = x, s + (8 << j)
-        if x := pick & p2:
-            pick, s = x, s + 4
-        if x := pick & p1:
-            pick, s = x, s + 2
-        if x := pick & p0:
-            pick, s = x, s + 1
-        bit = pick & -pick
-        left = (num_used + 1 if num_used < k else k) - s
+            if frontier is None:
+                return nodes, None
+            frontier.append((has[:], p0, p1, p2, up, uncolored, num_used,
+                             path + [(f[0], f[-1]) for f in frames]))
+            left = 0
+        elif not uncolored:
+            return nodes, path + [(f[0], f[-1]) for f in frames]
+        else:
+            pick = uncolored
+            s = 0
+            if up:
+                for j in range(len(up) - 1, -1, -1):
+                    if x := pick & up[j]:
+                        pick, s = x, s + (8 << j)
+            if x := pick & p2:
+                pick, s = x, s + 4
+            if x := pick & p1:
+                pick, s = x, s + 2
+            if x := pick & p0:
+                pick, s = x, s + 1
+            bit = pick & -pick
+            left = (num_used + 1 if num_used < k else k) - s
         if left:
             i = bit.bit_length() - 1
             uncolored ^= bit
@@ -357,8 +414,7 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
             # no open color: undo frames until one has a color left to try
             while True:
                 if not frames:
-                    budget.used = nodes
-                    return None
+                    return nodes, None
                 i, num_used, left, touched, p0, p1, p2, up, c = pop()
                 if touched:
                     has[c] ^= touched
@@ -384,6 +440,96 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> list[int] | None:
                 up = up[:]
                 for j, x in enumerate(up):
                     up[j], touched = x ^ touched, x & touched
+
+
+def _share(nbr: list[int], k: int, roots: list, cap: int):
+    """Yield (nodes, colored) for each (before, state) of `roots` in turn,
+    searched by `_dfs` on one cumulative cap, up to the first coloring or
+    the first root that passes the cap."""
+    for _, state in roots:
+        nodes, colored = _dfs(nbr, k, state, cap)
+        yield nodes, colored
+        if colored is not None or nodes > cap:
+            return
+        cap -= nodes
+
+
+def _split(nbr: list[int], k: int, root: tuple, cap: int, workers: int):
+    """`_dfs(nbr, k, root, cap)`, its subtrees searched by `workers` processes.
+
+    The top walk lists the tree level by level, each node's children by a
+    one-node `_dfs`, down to the first depth with SPLIT_ROOTS roots; a
+    coloring found on the way stays a root of one node. It goes at most
+    SPLIT_ROOTS levels down, as a tree that narrow is mostly forced picks and
+    each root copies its path, and stops early once its nodes pass the cap.
+    Each root carries the number of top nodes DFS visits before it. An
+    exhausted subtree has the same size in any search order (Rao & Kumar
+    1987), so the roots are dealt out j mod W, to this process (j = 0) and to
+    W - 1 forked children, and merged in DFS order: the count is the top
+    nodes before the first coloring plus the sizes of the roots up to it,
+    and that coloring is the witness. Each process stops at the first root
+    that passes its cumulative cap, the level's whole `cap`; the merged
+    count passes the cap there or before, so the merge stops there at the
+    latest, as a timeout. A child leaves by os._exit, and every child is
+    killed and reaped before this returns; when a fork fails, this process
+    searches the level alone.
+    """
+    frontier, top = [(0, root)], 0
+    for _ in range(SPLIT_ROOTS):
+        if len(frontier) >= SPLIT_ROOTS or top > cap or not any(s[5] for _, s in frontier):
+            break
+        deeper, expanded = [], 0
+        for before, state in frontier:
+            if not state[5]:
+                deeper.append((before + expanded, state))
+                continue
+            expanded += 1
+            children: list[tuple] = []
+            _dfs(nbr, k, state, 1, children)
+            deeper.extend((before + expanded, child) for child in children)
+        frontier, top = deeper, top + expanded
+    workers = max(1, min(workers, len(frontier)))
+    readers: list[tuple[int, object]] = []
+    try:
+        for p in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: search the level here
+                os.close(r)
+                os.close(w)
+                return _dfs(nbr, k, root, cap)
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as out:
+                        for result in _share(nbr, k, frontier[p::workers], cap):
+                            marshal.dump(result, out)
+                            out.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            readers.append((pid, os.fdopen(r, "rb")))
+            os.close(w)
+        mine = list(_share(nbr, k, frontier[::workers], cap))
+        roots = 0
+        for j, (before, _) in enumerate(frontier):
+            p = j % workers
+            nodes, colored = mine[j // workers] if p == 0 else marshal.load(readers[p - 1][1])
+            roots += nodes
+            if colored is not None or before + roots > cap:
+                total = before + roots
+                break
+        else:
+            total, colored = top + roots, None
+        return (total, colored) if total <= cap else (cap + 1, None)
+    finally:
+        for pid, reader in readers:
+            reader.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def chromatic_number_exact(

@@ -602,3 +602,36 @@ def test_seeded_reports_byte_identical(tmp_path, capsys):
     _, r1, _ = run(capsys, "verify", "--in", str(out), "--seed", "5")
     _, r2, _ = run(capsys, "verify", "--in", str(out), "--seed", "5")
     assert r1 == r2
+
+
+def test_main_reuses_one_parser_with_a_fresh_parsers_outputs(tmp_path, capsys, monkeypatch):
+    gfile, flag = tmp_path / "c5.txt", tmp_path / "f.txt"
+    write_graph(Graph.cycle(5), gfile)
+    calls = [
+        ["flagify", "--graph", str(gfile), "--n", "6", "--out", str(flag)],
+        ["verify", "--in", str(flag), "--seed", "1"],
+        ["color", "--in", str(flag), "--cap", "-1"],  # a domain check, exit 2
+        ["color", "--in", str(flag), "--strategy", "exact4"],  # an argument error, exit 2
+        ["color", "--in", str(flag)],
+        ["random-clique", "--n", "50", "--alpha", "0.55", "--seed", "1"],
+        ["certify", "--in", str(flag), "--graph", str(gfile), "--k", "3"],
+        ["verify", "--in", str(flag)],  # --seed missing, exit 2
+        ["verify", "--in", str(flag), "--seed", "2"],
+    ]
+
+    def outputs():
+        got = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got.append((code, capsys.readouterr().out))
+        return got
+
+    cli._parser.cache_clear()
+    reused = outputs()
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+    assert reused == outputs()
+    assert [code for code, _ in reused] == [0, 0, 2, 2, 0, 0, 0, 2, 0]

@@ -5,13 +5,16 @@ inputs.
 """
 
 import contextlib
+import errno
 import io
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +32,7 @@ from flagsphere import (
     embed,
     f_vector,
     flagify,
+    graphs,
     is_flag,
     minimal_nonfaces,
     mycielskian,
@@ -627,9 +631,10 @@ def solver_graphs(draw):
     return Graph(n, [pair for pair, keep in zip(pairs, chosen) if keep])
 
 
-def _search(solver, g, k, cap):
-    """A solver's result, or "timeout", with the nodes it spent."""
+def _search(solver, g, k, cap, used=0):
+    """A solver's result, or "timeout", with the nodes spent, from `used` on."""
     budget = _Budget(cap)
+    budget.used = used
     try:
         found = solver(g, k, budget)
     except SolverTimeout:
@@ -736,6 +741,179 @@ def test_bitset_dsatur_backtracks_over_upper_plane_carries(name, j, k, stride, r
     assert full[0] is None and _search(_k_colorable, g, k, 10**5) == full
     for cap in range(0, full[1], stride):
         assert _search(_k_colorable, g, k, cap) == _search(k_colorable_reference, g, k, cap)
+
+
+@contextlib.contextmanager
+def _split_small(workers, after=3, roots=4):
+    """Levels split after `after` nodes into `roots` roots, over `workers`
+    processes, whatever the host's CPU count; yields the list of `_split` calls."""
+    splits = []
+    split = graphs._split
+
+    def spy(*args):
+        splits.append(args[3:])
+        return split(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "SPLIT_AFTER", after)
+        mp.setattr(graphs, "SPLIT_ROOTS", roots)
+        mp.setattr(graphs, "_cpus", lambda: workers)
+        mp.setattr(graphs, "_split", spy)
+        yield splits
+
+
+@fixed
+@given(solver_graphs(), st.integers(0, 300), st.integers(0, 310))
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_dsatur_matches_the_set_based_search(workers, g, cap, used):
+    # the full budget, a random cap, and a budget that has spent `used` of
+    # it, up to past the cap; W = 1 never forks, W = 3 is more than 2 CPUs
+    for k in range(1, 7):
+        for c, u in ((10**5, 0), (cap, 0), (cap, used)):
+            expected = _search(k_colorable_reference, g, k, c, u)
+            with _split_small(workers):
+                assert _search(_k_colorable, g, k, c, u) == expected
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "name,k,stride", [("grotzsch", 3, 1), ("grotzsch", 4, 1), ("m5", 4, 7), ("m5", 5, 1)]
+)
+def test_split_dsatur_counts_every_cap_like_the_set_based_search(workers, name, k, stride, request):
+    # exhausted (grotzsch at 3, m5 at 4) and colorable levels, split into 4 or
+    # more roots, a timeout at every cap in reach and one past it
+    g = request.getfixturevalue(name)
+    full = _search(k_colorable_reference, g, k, 10**7)
+    for cap in [*range(0, full[1] + 1, stride), full[1] + 1]:
+        expected = _search(k_colorable_reference, g, k, cap)
+        with _split_small(workers, after=5) as splits:
+            assert _search(_k_colorable, g, k, cap) == expected
+        assert len(splits) == (cap > 5)
+
+
+def test_split_walk_goes_split_roots_levels_down_a_narrow_tree(monkeypatch):
+    # a path at k = 2 is one forced pick per level; walking all n levels
+    # would copy a path per level, quadratic in n
+    g = Graph(300, [(i, i + 1) for i in range(299)])
+    walked = []
+    dfs = graphs._dfs
+
+    def spy(nbr, k, state, cap, frontier=None):
+        if frontier is not None:
+            walked.append(len(state[7]))
+        return dfs(nbr, k, state, cap, frontier)
+
+    monkeypatch.setattr(graphs, "_dfs", spy)
+    with _split_small(2, after=10, roots=4) as splits:
+        assert _search(_k_colorable, g, 2, 10**5) == _search(k_colorable_reference, g, 2, 10**5)
+    assert len(splits) == 1 and walked == [0, 1, 2, 3]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forks(monkeypatch):
+    """Counts os.fork calls in this process."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_split_search_leaves_no_process_running(m5, monkeypatch):
+    forks = _forks(monkeypatch)
+    with _split_small(3, after=10):
+        assert _search(_k_colorable, m5, 4, 10**5) == (None, 896)
+        _no_child_left()
+        assert _search(_k_colorable, m5, 4, 500) == ("timeout", 501)
+        _no_child_left()
+    assert len(forks) == 4
+
+
+def test_split_search_reaps_its_children_when_the_callers_share_raises(m5, monkeypatch):
+    forks = _forks(monkeypatch)
+    caller, share = os.getpid(), graphs._share
+
+    def failing(*args):
+        if os.getpid() == caller:
+            raise RuntimeError("caller's share")
+        return share(*args)
+
+    monkeypatch.setattr(graphs, "_share", failing)
+    with _split_small(3, after=10), pytest.raises(RuntimeError, match="caller's share"):
+        _k_colorable(m5, 4, _Budget(10**5))
+    assert len(forks) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_split_search_runs_in_this_process_when_a_fork_fails(failing, m5, monkeypatch):
+    # each search's failing-th fork raises as at a process limit; a child
+    # forked before it is reaped
+    forks, fork = [], os.fork
+
+    def limited():
+        forks.append(None)
+        if len(forks) == failing:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited)
+    with _split_small(3, after=10) as splits:
+        for cap, expected in ((10**5, (None, 896)), (500, ("timeout", 501))):
+            forks.clear()
+            assert _search(_k_colorable, m5, 4, cap) == expected
+            assert len(forks) == failing
+            _no_child_left()
+    assert len(splits) == 2
+
+
+def test_one_cpu_runs_the_search_in_one_process_with_the_same_output(m5):
+    # the process pins itself to one CPU; os.fork would fail the run
+    code = (
+        "import os, sys\n"
+        "from flagsphere import graphs\n"
+        "from flagsphere.graphs import Graph, chromatic_number_exact\n"
+        "if sys.argv[1] == 'pinned':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "    os.fork = None\n"
+        "graphs.SPLIT_AFTER, graphs.SPLIT_ROOTS = 10, 4\n"
+        "g = Graph(%d, %r)\n"
+        "r = chromatic_number_exact(g)\n"
+        "print(r.chi, r.nodes, sorted(r.coloring.assignment.items()))\n"
+    ) % (m5.n, m5.edges)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    runs = [
+        subprocess.run([sys.executable, "-c", code, mode], capture_output=True, text=True,
+                       env=env, check=True).stdout
+        for mode in ("pinned", "free")
+    ]
+    assert runs[0] == runs[1] and runs[0].startswith("5 959 ")
+
+
+def test_a_process_with_other_threads_searches_in_one_process():
+    # a fork copies only the calling thread, so a second thread turns the split off
+    cpus = len(os.sched_getaffinity(0))
+    assert graphs._cpus() == cpus
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert graphs._cpus() == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert graphs._cpus() == cpus
 
 
 def _levels(g, limit, cap):

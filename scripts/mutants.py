@@ -34,6 +34,7 @@ class Mutant:
 
 
 GRAPHS = "src/flagsphere/graphs.py"
+COLORING = "src/flagsphere/coloring.py"
 MUTANTS = [
     Mutant(
         "dsatur-carry-into-up-dropped",
@@ -76,11 +77,23 @@ MUTANTS = [
     Mutant(
         "split-first-coloring-to-finish",
         GRAPHS,
-        "        mine = list(_share(nbr, k, frontier[::workers], cap))\n",
-        "        mine = list(_share(nbr, k, frontier[::workers], cap))\n"
-        "        for (before, _), (nodes, colored) in zip(frontier[::workers], mine):\n"
+        "        found = {j: (nodes, colored) for j, nodes, colored in _share(nbr, k, frontier, cap, queue)}\n",
+        "        found = {j: (nodes, colored) for j, nodes, colored in _share(nbr, k, frontier, cap, queue)}\n"
+        "        for j, (nodes, colored) in found.items():\n"
         "            if colored is not None:\n"
-        "                return before + nodes, colored\n",
+        "                return frontier[j][0] + nodes, colored\n",
+    ),
+    Mutant(
+        "check-speculative-coloring-kept",
+        COLORING,
+        "    if not (flag and checks.passed):\n",
+        "    if not (flag and (checks.passed or coloring is not None)):\n",
+    ),
+    Mutant(
+        "is-flag-wrong-f-vector-slice",
+        "src/flagsphere/complexes.py",
+        "counts == faces[2:]",
+        "counts == faces[-2:]",
     ),
 ]
 

@@ -13,15 +13,15 @@ import json
 import sys
 from pathlib import Path
 
-from .complexes import empty_triangles_of, is_flag, replay, verify_closed_3_manifold
+from .complexes import empty_triangles_of, replay
 # not called here; imported so perfbench/run.py can trace these call sites
-from .complexes import f_vector, minimal_nonfaces  # noqa: F401
+from .complexes import f_vector, is_flag, minimal_nonfaces, verify_closed_3_manifold  # noqa: F401
 from .coloring import (
     PeelParams,
     certify_lower_bound,
+    check_and_peel,
     measure_alpha,
     peel_color_3,
-    peel_color_unchecked,
 )
 from .cyclic import cyclic_4_sphere
 from .errors import FlagsphereError, ParseError
@@ -83,12 +83,8 @@ def cmd_verify(args) -> int:
     params = _peel_params(args)
     _check_budget(args)
     X = read_complex(args.infile)
-    checks = verify_closed_3_manifold(X)
-    flag = is_flag(X, checks.f_vector)
+    checks, flag, coloring = check_and_peel(X, params)
     empty_tris = 0 if flag else len(empty_triangles_of(X))  # flag: no empty triangle
-    chromatic_upper: int | None = None
-    if flag and checks.passed:
-        chromatic_upper = peel_color_unchecked(X, params).color_count
     _emit(
         {
             "f_vector": checks.f_vector.counts,
@@ -97,7 +93,7 @@ def cmd_verify(args) -> int:
             "manifold_checks": checks.as_dict(),
             "empty_triangle_count": empty_tris,
             "subdivision_count": sum(e is not None for e in X.parents.values()),
-            "chromatic_upper": chromatic_upper,
+            "chromatic_upper": coloring.color_count if coloring else None,
             "chromatic_lower": None,
             **measure_alpha(X, seed=args.seed, node_budget=args.budget),
         }

@@ -11,10 +11,18 @@ Also provides exact-solver-backed chromatic lower-bound certificates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, is_flag, verify_closed_3_manifold
+from .complexes import (
+    FVector,
+    SimplicialComplex,
+    VerificationReport,
+    clique_counts,
+    is_flag,
+    verify_closed_3_manifold,
+)
 # not called here; imported so perfbench/run.py can trace this call site
 from .complexes import f_vector  # noqa: F401
 from .errors import (
@@ -32,6 +40,8 @@ from .graphs import (
     Coloring,
     Graph,
     _Budget,
+    _cpus,
+    _Forks,
     _k_colorable,
     chromatic_number_exact,
     greedy_independent_set,
@@ -42,6 +52,8 @@ from .graphs import (
 DEFAULT_X = math.sqrt(5.0)
 # explored-node cap of the exact 4-coloring of one peeled neighborhood
 EXACT4_NODE_BUDGET = 500_000
+# facets from which check_and_peel forks: below it a fork costs more than it saves
+FORK_FACETS = 1_000
 
 
 @dataclass(frozen=True)
@@ -147,14 +159,66 @@ def peel_color_3(X: SimplicialComplex, params: PeelParams | None = None) -> Colo
     """
     if params is None:
         params = PeelParams()
-    # one manifold pass gives is_flag its f-vector; a complex that is flag but
-    # not 3-dimensional gets the second call's WrongDimension
-    checks = verify_closed_3_manifold(X) if X.dimension == 3 else None
-    if not is_flag(X, checks and checks.f_vector):
+    # a complex that is not 3-dimensional is NotFlag before it is WrongDimension
+    if X.dimension != 3 and not is_flag(X):
         raise NotFlag("peel coloring requires a flag complex")
-    if not (checks or verify_closed_3_manifold(X)).passed:
+    checks, flag, coloring = check_and_peel(X, params)
+    if not flag:
+        raise NotFlag("peel coloring requires a flag complex")
+    if not checks.passed:
         raise NotManifold("peel coloring requires a closed 3-manifold")
-    return peel_color_unchecked(X, params)
+    return coloring
+
+
+def check_and_peel(
+    X: SimplicialComplex, params: PeelParams
+) -> tuple[VerificationReport, bool, Coloring | None]:
+    """X's closed-3-manifold checks, whether it is flag, and its peel coloring,
+    which is None unless X is a flag closed 3-manifold (WrongDimension unless
+    X is 3-dimensional).
+
+    is_flag compares the clique counts with the manifold pass's f-vector. A
+    3-complex of FORK_FACETS facets or more, with a second CPU to run on, is
+    checked in two processes: a forked child runs the manifold pass while
+    this one counts the cliques and peels before the checks are known. The
+    peel runs only when the counts fit a flag closed 3-manifold, and its
+    coloring, or its error, is used only when the checks pass; so every
+    outcome and its precedence are those of the checks run first, then the
+    peel.
+    """
+    coloring = error = None
+    with _Forks() as forks:
+        forked = (X.dimension == 3 and X.facet_count >= FORK_FACETS and _cpus() > 1
+                  and forks.spawn(functools.partial(_send_checks, X)))
+        if not forked:
+            checks = verify_closed_3_manifold(X)
+        counts = clique_counts(X)
+        # the clique counts of a flag closed 3-manifold are its 2 f3 triangles
+        # and f3 tetrahedra; any other counts mean the peel is not wanted
+        if forked and counts == (2 * X.facet_count, X.facet_count):
+            try:
+                coloring = peel_color_unchecked(X, params)
+            except Exception as exc:  # raised below, once the checks pass
+                error = exc
+        if forked:
+            try:
+                *passed, faces = forks.receive()
+                checks = VerificationReport(*passed, FVector(faces))
+            except EOFError:  # the child exited without its report
+                checks = verify_closed_3_manifold(X)
+    flag = is_flag(X, checks.f_vector, counts)
+    if not (flag and checks.passed):
+        return checks, flag, None
+    if error is not None:
+        raise error
+    return checks, flag, peel_color_unchecked(X, params) if coloring is None else coloring
+
+
+def _send_checks(X: SimplicialComplex, send) -> None:
+    """The child's side of check_and_peel: the manifold pass's report."""
+    checks = verify_closed_3_manifold(X)
+    send((checks.two_faces_in_two_facets, checks.connected, checks.vertex_links_are_2_spheres,
+          checks.euler_zero, checks.f_vector.counts))
 
 
 def peel_color_unchecked(X: SimplicialComplex, params: PeelParams) -> Coloring:

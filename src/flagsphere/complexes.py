@@ -346,24 +346,38 @@ def empty_triangles_of(X: SimplicialComplex) -> set[tuple[int, int, int]]:
     return set(cliques(X.rows, 3)) - _faces(X, 3)
 
 
-def is_flag(X: SimplicialComplex, f_vector: FVector | None = None) -> bool:
-    """True iff every clique of the 1-skeleton is a face.
+def clique_counts(X: SimplicialComplex) -> tuple[int, ...] | None:
+    """The numbers of k-cliques of X's 1-skeleton for 3 <= k <= dim+1, or None
+    when it has a (dim+2)-clique, which no face of X can be.
 
-    Every face is a clique, so X is flag exactly when it has as many
-    k-cliques as k-faces for each 3 <= k <= dim+1 and no (dim+2)-clique.
-    The cliques are counted, not listed. The face counts are `f_vector`, X's
-    f-vector when the caller has it (the manifold pass's), else counted here.
+    The cliques are counted by the sizes of one walk's candidate sets, not
+    listed, and the walk stops at the first (dim+2)-clique.
     """
-    if X.is_empty:
-        return True
     top = X.dimension + 1
     counts = [0] * (top + 1)
     for clique, cand in _clique_walk(X.rows, top + 1):
         if len(clique) == top:
-            return False  # cand holds the last vertex of a (dim+2)-clique
+            return None  # cand holds the last vertex of a (dim+2)-clique
         counts[len(clique) + 1] += len(cand)
+    return tuple(counts[3:])
+
+
+def is_flag(X: SimplicialComplex, f_vector: FVector | None = None, counts=False) -> bool:
+    """True iff every clique of the 1-skeleton is a face.
+
+    Every face is a clique, so X is flag exactly when it has as many
+    k-cliques as k-faces for each 3 <= k <= dim+1 and no (dim+2)-clique.
+    The clique counts are `counts`, X's `clique_counts` (None included) when
+    the caller has them, else counted here; the face counts are `f_vector`,
+    X's f-vector when the caller has it (the manifold pass's), else counted
+    here.
+    """
+    if X.is_empty:
+        return True
+    if counts is False:
+        counts = clique_counts(X)
     faces = f_vector.counts if f_vector is not None else _face_counts(X)
-    return tuple(counts[3:]) == faces[2:]
+    return counts is not None and counts == faces[2:]
 
 
 def subdivide_edge(X: SimplicialComplex, edge) -> tuple[SimplicialComplex, int]:

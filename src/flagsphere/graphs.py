@@ -14,6 +14,7 @@ one way to relabel a vertex subset to 0..k-1.
 from __future__ import annotations
 
 import contextlib
+import gc
 import heapq
 import itertools
 import marshal
@@ -31,8 +32,9 @@ EXACT_ALPHA_LIMIT = 60
 NODE_BUDGET = 20_000_000
 # most vertices a Graph takes, refused before its adjacency sets are built
 MAX_VERTICES = 10**6
-# nodes a level searches in one process before it restarts split across the CPUs
-SPLIT_AFTER = 20_000
+# nodes a level searches in one process before it restarts split across the
+# CPUs: about the level size at which the fork and the top walk pay for themselves
+SPLIT_AFTER = 4_000
 # the split search's top walk goes down to the first depth with this many
 # roots, and at most this many levels
 SPLIT_ROOTS = 64
@@ -442,14 +444,117 @@ def _dfs(nbr: list[int], k: int, root: tuple, cap: int, frontier: list | None = 
                     up[j], touched = x ^ touched, x & touched
 
 
-def _share(nbr: list[int], k: int, roots: list, cap: int):
-    """Yield (nodes, colored) for each (before, state) of `roots` in turn,
-    searched by `_dfs` on one cumulative cap, up to the first coloring or
-    the first root that passes the cap."""
-    for _, state in roots:
-        nodes, colored = _dfs(nbr, k, state, cap)
-        yield nodes, colored
-        if colored is not None or nodes > cap:
+class _Forks:
+    """Children forked by one call, each sending values back through its own pipe.
+
+    `spawn(job)` forks a child that runs job(send), where send(value) writes
+    one marshal record, and leaves by os._exit whatever happens; `receive()`
+    returns the next value of the children in turn. Leaving the `with` block
+    closes the pipes and kills and reaps every child, so none outlives the
+    call.
+    """
+
+    def __init__(self):
+        self._children: list[tuple[int, object]] = []  # (pid, read end)
+        self._live: list = []  # the read ends not yet at their end
+        self._turn = 0
+
+    def __enter__(self) -> "_Forks":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for pid, reader in self._children:
+            reader.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def spawn(self, job) -> bool:
+        """Fork a child that runs job(send); False, with no child, when the fork fails."""
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(r)
+            os.close(w)
+            return False
+        if pid == 0:
+            code = 1
+            # the child runs one job and exits: its collector would only walk,
+            # and so copy, the parent's pages
+            gc.disable()
+            try:
+                os.close(r)
+                with os.fdopen(w, "wb") as out:
+
+                    def send(value) -> None:
+                        marshal.dump(value, out)
+                        out.flush()
+
+                    job(send)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        reader = os.fdopen(r, "rb")
+        self._children.append((pid, reader))
+        self._live.append(reader)
+        return True
+
+    def receive(self):
+        """The next value of the next child in turn, waiting for it; a child
+        that has exited is passed over, and EOFError says every child has."""
+        while self._live:
+            self._turn %= len(self._live)
+            try:
+                value = marshal.load(self._live[self._turn])
+            except EOFError:
+                del self._live[self._turn]
+                continue
+            self._turn += 1
+            return value
+        raise EOFError("every child has exited")
+
+
+class _RootQueue:
+    """The next unclaimed root of a split search, shared by the processes
+    forked after it is made.
+
+    A pipe holds the root's index as its one record. A process claims the
+    root by reading the record and writing back the next index, so each root
+    is claimed once and in DFS order, the claimed roots are always a prefix
+    of the frontier, and the pipe never holds more than one record, however
+    many roots there are.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._r, self._w = os.pipe()
+        os.write(self._w, (0).to_bytes(8, "little"))
+
+    def claim(self, end: bool = False) -> int:
+        """The index of the next root, `size` when none is left; with `end`,
+        no process claims a root after this call."""
+        j = int.from_bytes(os.read(self._r, 8), "little")
+        os.write(self._w, (self.size if end else min(j + 1, self.size)).to_bytes(8, "little"))
+        return j
+
+    def close(self) -> None:
+        os.close(self._r)
+        os.close(self._w)
+
+
+def _share(nbr: list[int], k: int, frontier: list, cap: int, queue: _RootQueue):
+    """Yield (j, nodes, colored) for each root j this process claims from
+    `queue`, searched by `_dfs` on one cumulative cap, up to the first
+    coloring or the first root that passes the cap; either ends the queue."""
+    while (j := queue.claim()) < len(frontier):
+        nodes, colored = _dfs(nbr, k, frontier[j][1], cap)
+        last = colored is not None or nodes > cap
+        if last:
+            queue.claim(end=True)
+        yield j, nodes, colored
+        if last:
             return
         cap -= nodes
 
@@ -464,15 +569,16 @@ def _split(nbr: list[int], k: int, root: tuple, cap: int, workers: int):
     each root copies its path, and stops early once its nodes pass the cap.
     Each root carries the number of top nodes DFS visits before it. An
     exhausted subtree has the same size in any search order (Rao & Kumar
-    1987), so the roots are dealt out j mod W, to this process (j = 0) and to
-    W - 1 forked children, and merged in DFS order: the count is the top
-    nodes before the first coloring plus the sizes of the roots up to it,
-    and that coloring is the witness. Each process stops at the first root
-    that passes its cumulative cap, the level's whole `cap`; the merged
-    count passes the cap there or before, so the merge stops there at the
-    latest, as a timeout. A child leaves by os._exit, and every child is
-    killed and reaped before this returns; when a fork fails, this process
-    searches the level alone.
+    1987), so this process and W - 1 forked children each claim the next
+    root from a shared `_RootQueue` whenever they are free, and the results
+    are merged in DFS order: the count is the top nodes before the first
+    coloring plus the sizes of the roots up to it, and that coloring is the
+    witness. Each process stops at the first root that passes its cumulative
+    cap, the level's whole `cap`; its roots come in DFS order, so the merged
+    count passes the cap there or before, and the merge stops there at the
+    latest, as a timeout. When a fork fails, the processes already running
+    share the level; a root whose child exited before sending it is searched
+    here.
     """
     frontier, top = [(0, root)], 0
     for _ in range(SPLIT_ROOTS):
@@ -488,35 +594,25 @@ def _split(nbr: list[int], k: int, root: tuple, cap: int, workers: int):
             _dfs(nbr, k, state, 1, children)
             deeper.extend((before + expanded, child) for child in children)
         frontier, top = deeper, top + expanded
-    workers = max(1, min(workers, len(frontier)))
-    readers: list[tuple[int, object]] = []
-    try:
-        for p in range(1, workers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: search the level here
-                os.close(r)
-                os.close(w)
-                return _dfs(nbr, k, root, cap)
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(r)
-                    with os.fdopen(w, "wb") as out:
-                        for result in _share(nbr, k, frontier[p::workers], cap):
-                            marshal.dump(result, out)
-                            out.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            readers.append((pid, os.fdopen(r, "rb")))
-            os.close(w)
-        mine = list(_share(nbr, k, frontier[::workers], cap))
+
+    def search(send) -> None:
+        for result in _share(nbr, k, frontier, cap, queue):
+            send(result)
+
+    with contextlib.closing(_RootQueue(len(frontier))) as queue, _Forks() as forks:
+        for _ in range(1, min(workers, len(frontier))):
+            if not forks.spawn(search):
+                break
+        found = {j: (nodes, colored) for j, nodes, colored in _share(nbr, k, frontier, cap, queue)}
         roots = 0
-        for j, (before, _) in enumerate(frontier):
-            p = j % workers
-            nodes, colored = mine[j // workers] if p == 0 else marshal.load(readers[p - 1][1])
+        for j, (before, state) in enumerate(frontier):
+            while j not in found:
+                try:
+                    got = forks.receive()
+                except EOFError:  # the child that claimed root j exited first
+                    got = (j, *_dfs(nbr, k, state, cap - before - roots))
+                found[got[0]] = got[1:]
+            nodes, colored = found[j]
             roots += nodes
             if colored is not None or before + roots > cap:
                 total = before + roots
@@ -524,12 +620,6 @@ def _split(nbr: list[int], k: int, root: tuple, cap: int, workers: int):
         else:
             total, colored = top + roots, None
         return (total, colored) if total <= cap else (cap + 1, None)
-    finally:
-        for pid, reader in readers:
-            reader.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def chromatic_number_exact(

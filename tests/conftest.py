@@ -114,6 +114,27 @@ def sixteen_cells_glued():
     return build_from_facets(facets + [[shift.get(v, v) for v in f] for f in facets])
 
 
+def freudenthal_torus(m: int):
+    """The Freudenthal triangulation of the 3-torus on Z_m^3: each unit cube
+    split into six tetrahedra along its main diagonal, vertex (x, y, z)
+    numbered x + m y + m^2 z; m^3 vertices and 6 m^3 facets.
+
+    At m = 4 it is flag and passes all four manifold checks, though it is
+    not a sphere; at m = 3 it has 387 triangles of the 1-skeleton against
+    324 faces, so it is not flag.
+    """
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    facets = []
+    for x, y, z in itertools.product(range(m), repeat=3):
+        for order in itertools.permutations(steps):
+            corner, facet = [x, y, z], [x + m * y + m * m * z]
+            for step in order:
+                corner = [(c + s) % m for c, s in zip(corner, step)]
+                facet.append(corner[0] + m * corner[1] + m * m * corner[2])
+            facets.append(facet)
+    return build_from_facets(facets)
+
+
 def icosahedron_graph():
     edges = [
         (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),

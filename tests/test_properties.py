@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -25,17 +26,21 @@ from hypothesis import strategies as st
 from flagsphere import (
     ComplexBuilder,
     Graph,
+    PeelParams,
     build_from_facets,
     chromatic_number_exact,
+    coloring,
     cyclic_4_sphere,
     eliminate_round,
     embed,
     f_vector,
     flagify,
     graphs,
+    grotzsch_graph,
     is_flag,
     minimal_nonfaces,
     mycielskian,
+    peel_color_3,
     subdivide_edge,
     triangle_free_process,
 )
@@ -46,12 +51,17 @@ from flagsphere.complexes import (
     empty_triangles_of,
     verify_closed_3_manifold,
 )
+from flagsphere.coloring import check_and_peel
 from flagsphere.errors import (
     DominatedFacet,
     InvariantViolation,
     NonPure,
+    NotFlag,
+    NotManifold,
     ParseError,
+    PlanarStrategyFailure,
     SolverTimeout,
+    WrongDimension,
 )
 from flagsphere.graphs import (
     _Budget,
@@ -71,6 +81,7 @@ from flagsphere.randomclique import (
 )
 
 from conftest import (
+    PROCESS_CASES,
     clique_census_scan,
     derive_adjacency_reference,
     dominated_pair_scan,
@@ -80,6 +91,7 @@ from conftest import (
     faces_by_size_reference,
     facet_incidence_reference,
     flagify_reference,
+    freudenthal_torus,
     greedy_independent_set_reference,
     induced_subgraph_reference,
     k_colorable_reference,
@@ -914,6 +926,263 @@ def test_a_process_with_other_threads_searches_in_one_process():
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert graphs._cpus() == cpus
+
+
+def _roots_searched(monkeypatch, slow: str) -> list[int]:
+    """Counts the split roots the calling process searches, and makes each
+    root of the `slow` side ("caller" or "children") take 20 ms."""
+    caller, dfs, searched = os.getpid(), graphs._dfs, []
+
+    def timed(nbr, k, state, cap, frontier=None):
+        if frontier is None and state[7]:  # a root, not the top walk or the first run
+            here = os.getpid() == caller
+            if here:
+                searched.append(len(state[7]))
+            if here == (slow == "caller"):
+                time.sleep(0.02)
+        return dfs(nbr, k, state, cap, frontier)
+
+    monkeypatch.setattr(graphs, "_dfs", timed)
+    return searched
+
+
+@pytest.mark.parametrize("slow", ["caller", "children"])
+@pytest.mark.parametrize("k,cap", [(4, 10**5), (5, 10**5), (4, 500)], ids=["exhausted", "colorable", "timeout"])
+def test_split_queue_gives_the_roots_to_whichever_process_is_free(slow, k, cap, m5, monkeypatch):
+    # the roots go to the processes that are free, and the merge still counts
+    # every root and takes the first coloring in DFS order
+    expected = _search(k_colorable_reference, m5, k, cap)
+    searched = _roots_searched(monkeypatch, slow)
+    sizes = []
+    queue = graphs._RootQueue
+
+    def spy(size):
+        sizes.append(size)
+        return queue(size)
+
+    monkeypatch.setattr(graphs, "_RootQueue", spy)
+    with _split_small(2, after=10, roots=16):
+        assert _search(_k_colorable, m5, k, cap) == expected
+    _no_child_left()
+    if k == 4 and cap == 10**5:
+        # the search is exhausted: every root is searched by one process or the other
+        assert len(sizes) == 1
+        assert (len(searched) > sizes[0] // 2) == (slow == "children")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_search_searches_no_root_once_the_budget_is_spent(workers, m5, monkeypatch):
+    # a timed-out level stops at the root that passes the cap: neither a
+    # process's share nor the merge searches a root on a spent budget
+    caps, dfs = [], graphs._dfs
+
+    def spy(nbr, k, state, cap, frontier=None):
+        if frontier is None and state[7]:
+            caps.append(cap)
+        return dfs(nbr, k, state, cap, frontier)
+
+    monkeypatch.setattr(graphs, "_dfs", spy)
+    with _split_small(workers, after=10):
+        for cap in range(100, 800, 100):
+            assert _search(_k_colorable, m5, 4, cap) == ("timeout", cap + 1)
+            _no_child_left()
+    assert all(cap >= 0 for cap in caps)
+
+
+def test_split_queue_holds_a_frontier_larger_than_a_pipe():
+    # on an edgeless graph every vertex may take any color in use or the next
+    # one, so depth 9 holds the 21,147 set partitions of 9 vertices: more
+    # roots than a 64 KiB pipe holds 8-byte indices; the search would hang
+    # if the queue blocked before the fork
+    code = (
+        "from flagsphere import graphs\n"
+        "graphs._cpus = lambda: 2\n"
+        "graphs.SPLIT_AFTER, graphs.SPLIT_ROOTS = 3, 20_000\n"
+        "queue, sizes = graphs._RootQueue, []\n"
+        "graphs._RootQueue = lambda size: sizes.append(size) or queue(size)\n"
+        "budget = graphs._Budget(10**5)\n"
+        "print(graphs._k_colorable(graphs.Graph(12, []), 12, budget), budget.used, sizes)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    expected = _search(k_colorable_reference, Graph(12, []), 12, 10**5)
+    assert done.stdout == f"{expected[0]} {expected[1]} [21147]\n"
+    assert 21147 * 8 > 1 << 16
+
+
+def test_split_search_searches_the_roots_of_a_child_that_exited(m5, monkeypatch):
+    # a child that fails on its first root sends nothing; the caller searches
+    # that root itself, once every child has exited
+    caller, dfs = os.getpid(), graphs._dfs
+
+    def failing(nbr, k, state, cap, frontier=None):
+        if os.getpid() != caller:
+            raise MemoryError("child")
+        return dfs(nbr, k, state, cap, frontier)
+
+    _roots_searched(monkeypatch, "caller")
+    monkeypatch.setattr(graphs, "_dfs", failing)
+    with _split_small(3, after=10):
+        for cap in (10**5, 500):
+            assert _search(_k_colorable, m5, 4, cap) == _search(k_colorable_reference, m5, 4, cap)
+            _no_child_left()
+
+
+# -- check_and_peel: the manifold pass in a child, the clique count and peel here
+
+
+@contextlib.contextmanager
+def _checked_in(processes: int):
+    """check_and_peel forks on every 3-complex when processes is 2, and on none
+    when it is 1, whatever the complex's size and the host's CPU count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "FORK_FACETS", 0)
+        mp.setattr(coloring, "_cpus", lambda: processes)
+        yield
+
+
+def _corpus_sphere(label: str, n: int):
+    if label == "C5":
+        g = Graph.cycle(5)
+    elif label in ("grotzsch", "M5"):
+        g = grotzsch_graph() if label == "grotzsch" else mycielskian(grotzsch_graph())
+    else:
+        g = triangle_free_process(*map(int, label.split("-")[1:]))
+    return flagify(g, n)[0]
+
+
+CORPUS = [("C5", 6), ("grotzsch", 11), ("M5", 23)]
+CORPUS += [(f"process-{n}-{seed}", n) for n, seed in PROCESS_CASES]
+# (name, complex): non-flag, non-manifold and non-sphere 3-complexes
+ODD_COMPLEXES = [
+    ("cyclic-8", cyclic_4_sphere(8)),
+    ("sixteen-cells-glued", sixteen_cells_glued()),
+    ("pinched-suspension", PINCHED_SUSPENSION),
+    ("suspended-torus", SUSPENDED_TORUS),
+    ("suspended-sphere-and-torus", SUSPENDED_SPHERE_AND_TORUS),
+    ("suspended-three-discs", SUSPENDED_THREE_DISCS),
+    ("freudenthal-3", freudenthal_torus(3)),
+    ("freudenthal-4", freudenthal_torus(4)),
+]
+
+
+def _check_and_peel_both_ways(X, monkeypatch, params=None):
+    """check_and_peel's (checks, flag, coloring) in one process and forked,
+    with the number of forks each made."""
+    forks = _forks(monkeypatch)
+    results = []
+    for processes in (1, 2):
+        forks.clear()
+        with _checked_in(processes):
+            results.append((check_and_peel(X, params or PeelParams()), len(forks)))
+        _no_child_left()
+    return results
+
+
+@pytest.mark.parametrize("name,X", ODD_COMPLEXES, ids=[name for name, _ in ODD_COMPLEXES])
+def test_forked_check_and_peel_matches_one_process_on_odd_complexes(name, X, monkeypatch):
+    (here, none), (forked, one) = _check_and_peel_both_ways(X, monkeypatch)
+    assert forked == here and (none, one) == (0, 1)
+    checks, flag, col = here
+    assert checks == verify_closed_3_manifold_reference(X) and flag == is_flag(X)
+    assert (col is not None) == (flag and checks.passed)
+
+
+@pytest.mark.parametrize("label,n", CORPUS, ids=[label for label, _ in CORPUS])
+def test_forked_verify_and_color_print_the_same_bytes(label, n, tmp_path, capsys):
+    sphere = tmp_path / "sphere.txt"
+    write_complex(_corpus_sphere(label, n), sphere)
+    outputs = []
+    for processes in (1, 2):
+        coloring_file = tmp_path / f"coloring{processes}.txt"
+        with _checked_in(processes):
+            codes = (main(["verify", "--in", str(sphere), "--seed", "3"]),
+                     main(["color", "--in", str(sphere), "--out", str(coloring_file)]))
+        _no_child_left()
+        outputs.append((codes, capsys.readouterr(), coloring_file.read_bytes()))
+    assert outputs[0] == outputs[1] and outputs[0][0] == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "X,params,error",
+    [
+        (cyclic_4_sphere(8), PeelParams(), NotFlag),
+        # flag, and every ridge in two facets, so the counts fit and the
+        # peel runs; the checks fail, and the peel's own error is dropped
+        (PINCHED_SUSPENSION, PeelParams(x=1.0, exact4_cap=0, allow_fallback=False), NotManifold),
+        (freudenthal_torus(3), PeelParams(x=1.0, exact4_cap=0, allow_fallback=False), NotFlag),
+        # a flag sphere: the peel's error is raised once the checks pass
+        (sixteen_cell(), PeelParams(x=1.0, exact4_cap=0, allow_fallback=False),
+         PlanarStrategyFailure),
+        (octahedron_boundary(), PeelParams(), WrongDimension),
+        (triangle_boundary(), PeelParams(), NotFlag),
+    ],
+    ids=["not-flag", "not-manifold", "not-flag-strict", "peel", "dimension", "dimension-not-flag"],
+)
+def test_forked_peel_color_raises_what_one_process_raises(X, params, error):
+    raised = []
+    for processes in (1, 2):
+        with _checked_in(processes), pytest.raises(error) as info:
+            peel_color_3(X, params)
+        _no_child_left()
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+
+
+def test_forked_check_and_peel_runs_the_checks_here_when_the_child_exits(monkeypatch):
+    # a child that fails before its report sends nothing; the manifold pass
+    # runs here instead
+    caller, send = os.getpid(), coloring._send_checks
+
+    def failing(X, out):
+        if os.getpid() != caller:
+            raise MemoryError("child")
+        return send(X, out)
+
+    monkeypatch.setattr(coloring, "_send_checks", failing)
+    for _, X in ODD_COMPLEXES[-2:]:
+        (here, _), (forked, one) = _check_and_peel_both_ways(X, monkeypatch)
+        assert forked == here and one == 1
+
+
+def test_check_and_peel_runs_in_one_process_when_the_fork_fails(monkeypatch):
+    def failing():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    X = freudenthal_torus(4)
+    with _checked_in(1):
+        expected = check_and_peel(X, PeelParams())
+    monkeypatch.setattr(os, "fork", failing)
+    with _checked_in(2):
+        assert check_and_peel(X, PeelParams()) == expected
+    _no_child_left()
+
+
+def test_one_cpu_checks_and_peels_in_one_process_with_the_same_output(tmp_path):
+    # the M5 sphere has more than FORK_FACETS facets, so a free run on two
+    # CPUs forks; the pinned one may not, as os.fork would fail the run
+    sphere = tmp_path / "sphere.txt"
+    X = _corpus_sphere("M5", 23)
+    assert X.facet_count >= coloring.FORK_FACETS
+    write_complex(X, sphere)
+    code = (
+        "import os, sys\n"
+        "from flagsphere.cli import main\n"
+        "if sys.argv[1] == 'pinned':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "    os.fork = None\n"
+        "main(['verify', '--in', sys.argv[2], '--seed', '1'])\n"
+        "main(['color', '--in', sys.argv[2], '--out', sys.argv[3]])\n"
+        "print(open(sys.argv[3]).read())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    runs = [
+        subprocess.run([sys.executable, "-c", code, mode, str(sphere), str(tmp_path / mode)],
+                       capture_output=True, text=True, env=env, check=True).stdout
+        for mode in ("pinned", "free")
+    ]
+    assert runs[0] == runs[1] and '"chromatic_upper": ' in runs[0]
 
 
 def _levels(g, limit, cap):
